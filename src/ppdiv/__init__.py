@@ -50,7 +50,6 @@ from .gmphd import (
     MeasModel,
     MotionModel,
     SpawnTerm,
-    detection_probability as phd_detection_probability,
     extract_states,
     phd_predict,
     phd_update,

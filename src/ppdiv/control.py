@@ -106,25 +106,28 @@ def reward(
     return value
 
 
+def _best_index(evaluations: list[ActionEvaluation]) -> int:
+    """Index of the highest reward; ties go to the earliest candidate."""
+    return int(np.argmax([e.reward for e in evaluations]))
+
+
 def select_action(
     predicted: GaussianMixture, s_prev, cfg: ScenarioConfig
 ) -> tuple[np.ndarray, list[ActionEvaluation]]:
     """Argmax of the ideal reward over the action grid.
 
-    Returns (chosen position, evaluations for every candidate).  Strictly
-    greater comparison keeps the earliest best candidate, implementing the
-    smallest-displacement-then-smallest-angle tie-break.
+    Returns (chosen position, evaluations for every candidate).  The earliest
+    best candidate wins, implementing the smallest-displacement-then-
+    smallest-angle tie-break.
     """
     candidates = action_positions(s_prev, cfg)
     z_star = ideal_measurements(predicted, cfg.observation, cfg.extraction_threshold)
     inner_pred = mixture_inner(predicted, predicted)
     evaluations: list[ActionEvaluation] = []
-    best = 0
     for idx, position in enumerate(candidates):
         value, preview = _evaluate_candidate(position, predicted, z_star, cfg, inner_pred)
         evaluations.append(ActionEvaluation(idx, position, value, preview))
-        if value > evaluations[best].reward:
-            best = idx
+    best = _best_index(evaluations)
     if math.isinf(evaluations[best].reward):
         raise RuntimeError("every candidate position is outside the surveillance area")
     return candidates[best], evaluations

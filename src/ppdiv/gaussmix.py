@@ -53,6 +53,22 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _spd(c: np.ndarray) -> np.ndarray:
+    """Symmetrized copy of the (..., d, d) stack ``c``, or ValueError unless
+    every matrix in it is finite, symmetric and positive definite."""
+    if not np.all(np.isfinite(c)):
+        raise ValueError("covariance has non-finite entries")
+    ct = np.swapaxes(c, -1, -2)
+    if not np.allclose(c, ct, rtol=1e-9, atol=1e-9):
+        raise ValueError("covariance is not symmetric")
+    c = 0.5 * (c + ct)
+    try:
+        np.linalg.cholesky(c)
+    except np.linalg.LinAlgError:
+        raise ValueError("covariance is not positive definite") from None
+    return c
+
+
 def _validate_cov(cov, dim: int | None = None) -> np.ndarray:
     """Return a symmetrized, read-only copy of ``cov`` or raise ValueError."""
     c = np.array(cov, dtype=float)
@@ -60,16 +76,7 @@ def _validate_cov(cov, dim: int | None = None) -> np.ndarray:
         raise ValueError(f"covariance must be a square matrix, got shape {c.shape}")
     if dim is not None and c.shape[0] != dim:
         raise ValueError(f"covariance dimension {c.shape[0]} does not match {dim}")
-    if not np.all(np.isfinite(c)):
-        raise ValueError("covariance has non-finite entries")
-    if not np.allclose(c, c.T, rtol=1e-9, atol=1e-9):
-        raise ValueError("covariance is not symmetric")
-    c = 0.5 * (c + c.T)
-    try:
-        np.linalg.cholesky(c)
-    except np.linalg.LinAlgError:
-        raise ValueError("covariance is not positive definite") from None
-    return _frozen(c)
+    return _frozen(_spd(c))
 
 
 @dataclass(frozen=True)
@@ -128,19 +135,9 @@ class GaussianMixture:
             raise ValueError("weights must be nonnegative")
         if not np.all(np.isfinite(m)):
             raise ValueError("means have non-finite entries")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("covariances have non-finite entries")
-        if n:
-            if not np.allclose(c, np.swapaxes(c, -1, -2), rtol=1e-9, atol=1e-9):
-                raise ValueError("covariances are not symmetric")
-            c = 0.5 * (c + np.swapaxes(c, -1, -2))
-            try:
-                np.linalg.cholesky(c)
-            except np.linalg.LinAlgError:
-                raise ValueError("covariances are not positive definite") from None
         self.weights = _frozen(w)
         self.means = _frozen(m)
-        self.covs = _frozen(c)
+        self.covs = _frozen(_spd(c))
 
     @classmethod
     def empty(cls, dim: int) -> "GaussianMixture":
@@ -182,25 +179,30 @@ class GaussianMixture:
 # batched Gaussian evaluation
 
 
-def _forward_sub(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve L y = b for batched lower-triangular L (..., d, d), b (..., d).
+def _maha(chol: np.ndarray, diffs: np.ndarray) -> np.ndarray:
+    """Squared Mahalanobis norms diff' C^-1 diff for batched lower Cholesky
+    factors L of C (..., d, d) and diffs (..., d), by solving L y = diff.
 
     d is small (<= 4 in the tracking scenario) so an explicit loop over rows,
     vectorized across the batch, beats a general batched solve.
     """
-    d = L.shape[-1]
-    y = np.empty(np.broadcast_shapes(L.shape[:-2] + (d,), b.shape), dtype=float)
-    b = np.broadcast_to(b, y.shape)
+    d = chol.shape[-1]
+    y = np.empty(np.broadcast_shapes(chol.shape[:-2] + (d,), diffs.shape), dtype=float)
+    diffs = np.broadcast_to(diffs, y.shape)
     for i in range(d):
-        acc = b[..., i]
+        acc = diffs[..., i]
         if i:
-            acc = acc - np.einsum("...j,...j->...", L[..., i, :i], y[..., :i])
-        y[..., i] = acc / L[..., i, i]
-    return y
+            acc = acc - np.einsum("...j,...j->...", chol[..., i, :i], y[..., :i])
+        y[..., i] = acc / chol[..., i, i]
+    return np.einsum("...i,...i->...", y, y)
 
 
 def log_gauss(diffs: np.ndarray, covs: np.ndarray) -> np.ndarray:
-    """log N(diff; 0, C) for batched diffs (..., d) and covariances (..., d, d)."""
+    """log N(diff; 0, C) for batched diffs (..., d) and covariances (..., d, d).
+
+    ``covs`` broadcasts against ``diffs``; pass it unbroadcast so that each
+    covariance is factored once, however many diffs share it.
+    """
     diffs = np.asarray(diffs, dtype=float)
     covs = np.asarray(covs, dtype=float)
     d = diffs.shape[-1]
@@ -208,10 +210,8 @@ def log_gauss(diffs: np.ndarray, covs: np.ndarray) -> np.ndarray:
         chol = np.linalg.cholesky(covs)
     except np.linalg.LinAlgError:
         raise ValueError("covariance in batched evaluation is not positive definite") from None
-    y = _forward_sub(chol, diffs)
-    maha = np.einsum("...i,...i->...", y, y)
     logdet_half = np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
-    return -0.5 * (maha + d * _LOG_2PI) - logdet_half
+    return -0.5 * (_maha(chol, diffs) + d * _LOG_2PI) - logdet_half
 
 
 def gauss_log_eval(x, g: Gaussian) -> float:
@@ -244,8 +244,7 @@ def gauss_bhatt_coeff(g0: Gaussian, g1: Gaussian) -> float:
         raise ValueError(f"dimension mismatch: {g0.dim} vs {g1.dim}")
     pbar = 0.5 * (g0.cov + g1.cov)
     chol = np.linalg.cholesky(pbar)
-    y = _forward_sub(chol, g0.mean - g1.mean)
-    maha = float(y @ y)
+    maha = float(_maha(chol, g0.mean - g1.mean))
     logdet_bar = 2.0 * float(np.log(np.diagonal(chol)).sum())
     _, logdet0 = np.linalg.slogdet(g0.cov)
     _, logdet1 = np.linalg.slogdet(g1.cov)
@@ -305,12 +304,14 @@ def mixture_log_eval(u: GaussianMixture, points: np.ndarray) -> np.ndarray:
         return np.full(m, -np.inf)
     logw = np.log(w)
     out = np.empty(m)
-    # Chunk so the (chunk, n, d) intermediate stays modest on big grids.
-    chunk = max(1, 2_000_000 // n)
+    # Chunk so that the (chunk, n, d) intermediates, about 2**16 (point,
+    # component) pairs, stay in a core's own cache: bigger chunks stream
+    # through memory and slow down whenever a neighbour does the same.
+    chunk = max(1, 65_536 // n)
     for lo in range(0, m, chunk):
         pts = points[lo : lo + chunk]
         diffs = pts[:, None, :] - means[None, :, :]
-        logs = log_gauss(diffs, np.broadcast_to(covs, (pts.shape[0], n, u.dim, u.dim)))
+        logs = log_gauss(diffs, covs)
         block = logs + logw
         top = block.max(axis=1)
         out[lo : lo + chunk] = top + np.log(np.exp(block - top[:, None]).sum(axis=1))
@@ -354,6 +355,7 @@ def prune_merge(
     w = u.weights[keep]
     m = u.means[keep]
     c = u.covs[keep]
+    chol = np.linalg.cholesky(c)
     out_w: list[float] = []
     out_m: list[np.ndarray] = []
     out_c: list[np.ndarray] = []
@@ -361,11 +363,7 @@ def prune_merge(
     while remaining.any():
         idx = np.flatnonzero(remaining)
         j = idx[np.argmax(w[idx])]
-        diffs = m[idx] - m[j]
-        chol = np.linalg.cholesky(c[idx])
-        y = _forward_sub(chol, diffs)
-        maha = np.einsum("ij,ij->i", y, y)
-        group = idx[maha <= merge_threshold]
+        group = idx[_maha(chol[idx], m[idx] - m[j]) <= merge_threshold]
         remaining[group] = False
         if group.size == 1:
             out_w.append(float(w[j]))

@@ -279,10 +279,6 @@ class DetectionProfile:
         return out
 
 
-def detection_probability(states, profile: DetectionProfile) -> np.ndarray:
-    return profile.evaluate(states)
-
-
 @dataclass(frozen=True)
 class GmPhdState:
     """Posterior intensity at a timestep."""
@@ -332,44 +328,45 @@ def phd_predict(
     return GaussianMixture(w, np.concatenate([m.reshape(-1, d) for m in means]), cc)
 
 
+def _kalman(means, covs, projection, noise, targets):
+    """Condition each N(x; m_i, P_i) on y = projection x + N(0, noise) at each target row.
+
+    For S_i = D P_i D' + R and K_i = P_i D' S_i^-1, returns (q, m', P') with
+    q[i, t] = N(y_t; D m_i, S_i), m'[i, t] = m_i + K_i (y_t - D m_i) and
+    P'_i = (I - K_i D) P_i, shapes (n, t), (n, t, d) and (n, d, d).
+    """
+    dm = means @ projection.T
+    dp = np.einsum("ab,ibc->iac", projection, covs)
+    s = np.einsum("iab,cb->iac", dp, projection) + noise
+    try:
+        gain = np.swapaxes(np.linalg.solve(s, dp), -1, -2)
+    except np.linalg.LinAlgError:
+        raise ValueError("singular innovation covariance in the PHD update") from None
+    innov = targets[None, :, :] - dm[:, None, :]
+    q = np.exp(log_gauss(innov, s[:, None, :, :]))
+    m1 = means[:, None, :] + np.einsum("iab,izb->iza", gain, innov)
+    shrink = np.eye(means.shape[1]) - np.einsum("iab,bc->iac", gain, projection)
+    p1 = np.einsum("iab,ibc->iac", shrink, covs)
+    return q, m1, 0.5 * (p1 + np.swapaxes(p1, -1, -2))
+
+
 def _condition_on_terms(predicted: GaussianMixture, profile: DetectionProfile):
     """Per (component, detection-term) conditioning.
 
-    Returns stacked arrays (weights, means, covs) over the j = 0 constant
-    slot followed by each Gaussian term, each block in predicted-component
-    order.  For j = 0 the component passes through with q = 1; for a Gaussian
-    term, N(x; m, P) N(D x; c, S) = q N(x; m', P') with
-    q = N(c; D m, D P D' + S), m' = m + K (c - D m), P' = (I - K D) P,
-    K = P D' (D P D' + S)^-1.
+    Returns stacked arrays (weights, means, covs) over the constant slot, if
+    w0 > 0, followed by each Gaussian term, each block in predicted-component
+    order.  In the constant slot the component passes through with q = 1; for
+    a Gaussian term, N(x; m, P) N(D x; c, S) = q N(x; m', P'), the Kalman
+    conditioning of N(x; m, P) on D x = c with noise S.
     """
     w, m, p = predicted.weights, predicted.means, predicted.covs
-    d = predicted.dim
-    blocks_w = [profile.constant * w]
-    blocks_m = [m]
-    blocks_p = [p]
-    eye = np.eye(d)
+    blocks = [(profile.constant * w, m, p)] if profile.constant > 0.0 else []
     for term in profile.terms:
-        dmat, c, s = term.projection, term.center, term.cov
-        dm = m @ dmat.T
-        dp = np.einsum("ab,ibc->iac", dmat, p)
-        s_ij = np.einsum("iab,cb->iac", dp, dmat) + s
-        q = np.exp(log_gauss(c - dm, s_ij))
-        try:
-            gain = np.swapaxes(np.linalg.solve(s_ij, dp), -1, -2)
-        except np.linalg.LinAlgError:
-            raise ValueError("singular innovation covariance in detection conditioning") from None
-        m1 = m + np.einsum("iab,ib->ia", gain, c - dm)
-        shrink = eye - np.einsum("iab,bc->iac", gain, dmat)
-        p1 = np.einsum("iab,ibc->iac", shrink, p)
-        p1 = 0.5 * (p1 + np.swapaxes(p1, -1, -2))
-        blocks_w.append(term.weight * w * q)
-        blocks_m.append(m1)
-        blocks_p.append(p1)
-    return (
-        np.concatenate(blocks_w),
-        np.concatenate(blocks_m),
-        np.concatenate(blocks_p),
-    )
+        q, m1, p1 = _kalman(m, p, term.projection, term.cov, term.center[None, :])
+        blocks.append((term.weight * w * q[:, 0], m1[:, 0], p1))
+    if not blocks:
+        return w[:0], m[:0], p[:0]
+    return tuple(np.concatenate(arrays) for arrays in zip(*blocks))
 
 
 def phd_update(
@@ -414,33 +411,22 @@ def phd_update(
         w_missed = np.zeros(len(predicted))
     else:
         w_missed = w_mu * (t_mass / sum_mu)
+        if not abs(float(w_missed.sum()) - t_mass) <= 1e-9 * max(1.0, mass):
+            raise RuntimeError(
+                f"missed-detection weights sum to {float(w_missed.sum())!r}, not T = {t_mass!r}"
+            )
 
     nz = len(measurements)
     if nz == 0:
         out_w, out_m, out_p = w_missed, predicted.means, predicted.covs
     else:
-        h, r = meas.observation, meas.noise
-        hm = m_cond @ h.T
-        hp = np.einsum("ab,ibc->iac", h, p_cond)
-        s2 = np.einsum("iab,cb->iac", hp, h) + r
-        try:
-            gain = np.swapaxes(np.linalg.solve(s2, hp), -1, -2)
-        except np.linalg.LinAlgError:
-            raise ValueError("singular innovation covariance in measurement update") from None
-        shrink = np.eye(d) - np.einsum("iab,bc->iac", gain, h)
-        p2 = np.einsum("iab,ibc->iac", shrink, p_cond)
-        p2 = 0.5 * (p2 + np.swapaxes(p2, -1, -2))
-        innov = measurements.points[None, :, :] - hm[:, None, :]
-        qz = np.exp(log_gauss(innov, s2[:, None, :, :]))
+        qz, m_det, p2 = _kalman(m_cond, p_cond, meas.observation, meas.noise, measurements.points)
         num = w_cond[:, None] * qz
         denom = clutter_intensity(meas, measurements.points) + num.sum(axis=0)
         w_det = np.where(denom > 0.0, num / np.where(denom > 0.0, denom, 1.0), 0.0)
-        m_det = m_cond[:, None, :] + np.einsum("iab,izb->iza", gain, innov)
         out_w = np.concatenate([w_missed, w_det.T.reshape(-1)])
         out_m = np.concatenate([predicted.means, np.swapaxes(m_det, 0, 1).reshape(-1, d)])
         out_p = np.concatenate([predicted.covs, np.tile(p2, (nz, 1, 1))])
-    if t_mass > _EPS_MASS and sum_mu > _EPS_MASS:
-        assert abs(float(w_missed.sum()) - t_mass) <= 1e-9 * max(1.0, mass)
     return GaussianMixture(out_w, out_m, out_p)
 
 

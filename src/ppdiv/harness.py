@@ -23,7 +23,7 @@ from multiprocessing import get_context
 import numpy as np
 
 from . import __version__
-from .control import _evaluate_candidate, ideal_measurements, select_action
+from .control import _best_index, _evaluate_candidate, ideal_measurements, select_action
 from .gaussmix import GaussianMixture, mixture_inner, prune_merge
 from .gmphd import GmPhdState, extract_states, phd_predict, phd_update
 from .metrics import ospa
@@ -96,7 +96,7 @@ def _choose_position(policy, predicted, sensor, cfg, policy_rng):
     """Returns (position, action_index, reward_of_choice)."""
     if policy == "cs":
         position, evaluations = select_action(predicted, sensor, cfg)
-        best = max(range(len(evaluations)), key=lambda i: (evaluations[i].reward, -i))
+        best = _best_index(evaluations)
         return position, best, evaluations[best].reward
     candidates = action_positions(sensor, cfg)
     if policy == "stay":

@@ -231,6 +231,8 @@ class ScenarioConfig:
         start = np.array(self.sensor_start, dtype=float).reshape(-1)
         if start.size != m or not np.all(np.isfinite(start)):
             fail("sensor_start", f"expected finite {m}-vector")
+        if not in_area(start, self):
+            fail("sensor_start", f"{start.tolist()} is outside area {area.tolist()}")
         start.setflags(write=False)
         setattr_("sensor_start", start)
 

@@ -19,6 +19,7 @@ import math
 import time
 
 import numpy as np
+from scipy.integrate import trapezoid
 from scipy.stats import chi2
 
 from .control import reward
@@ -201,7 +202,7 @@ def _check_quadrature(report: _Report, rng: RngStream):
     g1 = Gaussian([3.0], [[1.0]])
     xs = np.arange(-10.0, 13.0 + 1e-12, 1e-3)
     trap = float(
-        np.trapezoid(
+        trapezoid(
             mixture_eval(GaussianMixture.single(1.0, g0.mean, g0.cov), xs[:, None])
             * mixture_eval(GaussianMixture.single(1.0, g1.mean, g1.cov), xs[:, None]),
             xs,

@@ -85,6 +85,16 @@ def test_bad_inputs_exit_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("policy", ["cs", "stay"])
+def test_sensor_start_outside_area_exits_two(tmp_path, capsys, policy):
+    cfg = tmp_path / "outside.json"
+    cfg.write_text(json.dumps({"sensor_start": [-500, -500]}))
+    out = tmp_path / "o.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out), "--policy", policy]) == 2
+    assert "sensor_start" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_rejected_flags_exit_nonzero(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["simulate", "--config", "x.json", "--out", "y.csv", "--policy", "bogus"])

@@ -156,7 +156,9 @@ def test_select_action_tie_break_prefers_staying():
 
 
 def test_select_action_single_feasible_candidate():
-    cfg = ScenarioConfig(area=((0.0, 10.0), (0.0, 10.0)), truth_script=())
+    cfg = ScenarioConfig(
+        area=((0.0, 10.0), (0.0, 10.0)), truth_script=(), sensor_start=(5.0, 5.0)
+    )
     u = mixture(track([5.0, 5.0, 0.0, 0.0]))
     chosen, evals = select_action(u, np.array([5.0, 5.0]), cfg)
     assert np.allclose(chosen, [5.0, 5.0])

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
 from scipy.stats import multivariate_normal, norm
 
 from ppdiv import (
@@ -50,7 +51,7 @@ def test_csd_one_dimensional_value():
     # Half the squared L2 distance of the intensities, by direct quadrature.
     x = np.arange(-10.0, 10.0, 1e-3)
     diff = 1.0 * norm.pdf(x) - 2.0 * norm.pdf(x)
-    oracle = 0.5 * np.trapezoid(diff**2, x)
+    oracle = 0.5 * trapezoid(diff**2, x)
     value = csd_poisson_gm(a, b)
     assert value == pytest.approx(oracle, rel=1e-6)
     assert value == pytest.approx(0.1410474, abs=1e-7)
@@ -159,7 +160,7 @@ def test_bhatt_gaussian_values():
     x = np.arange(-12.0, 12.0, 1e-3)[:, None]
     u_vals = 1.0 * norm.pdf(x[:, 0])
     v_vals = 4.0 * norm.pdf(x[:, 0])
-    oracle = 0.5 * np.trapezoid((np.sqrt(u_vals) - np.sqrt(v_vals)) ** 2, x[:, 0])
+    oracle = 0.5 * trapezoid((np.sqrt(u_vals) - np.sqrt(v_vals)) ** 2, x[:, 0])
     value = bhatt_poisson_gaussian(a, b)
     assert value == pytest.approx(oracle, rel=1e-6)
     assert value == pytest.approx(0.5, abs=1e-9)

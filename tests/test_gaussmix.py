@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
+from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
 from ppdiv import (
@@ -13,10 +15,12 @@ from ppdiv import (
     gauss_eval,
     gauss_inner,
     mixture_inner,
+    mixture_log_eval,
     mixture_mass,
     mixture_scale,
     prune_merge,
 )
+from ppdiv.gaussmix import log_gauss
 from ppdiv.pointprocess import RngStream, sample_poisson_counts
 from ppdiv.validate import random_mixture
 
@@ -37,7 +41,7 @@ def trapz_product(g0, g1, lo, hi, step, transform=None):
     )
     if transform is not None:
         vals = transform(vals)
-    return float(np.trapezoid(vals, x[:, 0]))
+    return float(trapezoid(vals, x[:, 0]))
 
 
 def grid_product_2d(u, v, pad=8.0, cells=400):
@@ -127,6 +131,19 @@ def test_mixture_inner_matches_2d_quadrature():
         v = random_mixture(rng.child(2 * i + 1), 2, 2, 0.8)
         oracle = grid_product_2d(u, v)
         assert mixture_inner(u, v) == pytest.approx(oracle, rel=1e-6)
+
+
+def test_mixture_log_eval_matches_component_loop_across_chunks():
+    # 2500 components make chunks of 65_536 // 2500 = 26 points, so 2500
+    # points span 97 chunks, the last one partial.
+    rng = RngStream(41)
+    u = random_mixture(rng.child(0), 3, 2500, 4.0)
+    points = rng.child(1).generator.uniform(-4.0, 4.0, size=(2500, 3))
+    per_component = np.column_stack(
+        [log_gauss(points - mean, cov) for mean, cov in zip(u.means, u.covs)]
+    )
+    expected = logsumexp(per_component + np.log(u.weights), axis=1)
+    np.testing.assert_allclose(mixture_log_eval(u, points), expected, rtol=1e-12, atol=1e-12)
 
 
 def test_mixture_inner_dimension_mismatch():

@@ -30,7 +30,7 @@ def random_spd(gen, d, scale=1.0):
     return scale * (a @ a.T + d * np.eye(d))
 
 
-def valid_profile_identity(gen, d, n_terms):
+def valid_profile_identity(gen, d, n_terms, constant=0.1):
     # Gaussian terms over the full state (projection = identity), scaled so
     # the total probability stays below 1 everywhere.
     terms = []
@@ -39,7 +39,7 @@ def valid_profile_identity(gen, d, n_terms):
         peak = 1.0 / math.sqrt((2.0 * math.pi) ** d * np.linalg.det(cov))
         weight = (0.6 / n_terms) / peak
         terms.append(DetectionTerm(weight, gen.normal(size=d), cov, np.eye(d)))
-    return DetectionProfile(0.1, tuple(terms))
+    return DetectionProfile(constant, tuple(terms))
 
 
 def reference_update(predicted, zs, profile, h, r, kappa):
@@ -127,13 +127,17 @@ def test_predict_mass_balance_with_spawning():
 
 def test_update_matches_reference_equations():
     # Identity-projection profile: the vectorized update must reproduce the
-    # per-component reference loops termwise.
+    # per-component reference loops termwise.  With w0 = 0 the update emits
+    # no constant slot, so the reference's zero-weight constant rows (the
+    # first j of each measurement block) are dropped before comparing.
     rng = RngStream(13)
     gen = rng.generator
-    for trial in range(8):
+    for trial in range(16):
         d = 2
-        predicted = random_mixture(rng.child(trial), d, 3, 1.8)
-        profile = valid_profile_identity(gen, d, 2)
+        j = 3
+        constant = 0.1 if trial % 2 == 0 else 0.0
+        predicted = random_mixture(rng.child(trial), d, j, 1.8)
+        profile = valid_profile_identity(gen, d, 2, constant)
         h = np.array([[1.0, 0.0], [0.3, 1.0]])
         r = random_spd(gen, d, 0.2)
         kappa = 0.05
@@ -141,6 +145,11 @@ def test_update_matches_reference_equations():
         meas = MeasModel(h, r, clutter_rate=kappa, clutter_region=None)
         out = phd_update(predicted, zs, profile, meas)
         ref = reference_update(predicted, zs, profile, h, r, kappa)
+        if constant == 0.0:
+            block = j * (1 + len(profile.terms))
+            slot = [k >= j and (k - j) % block < j for k in range(len(ref))]
+            assert all(row[0] == 0.0 for row, s in zip(ref, slot) if s)
+            ref = [row for row, s in zip(ref, slot) if not s]
         assert len(out) == len(ref)
         for i, (w_ref, m_ref, p_ref) in enumerate(ref):
             assert out.weights[i] == pytest.approx(w_ref, rel=1e-8, abs=1e-14)
@@ -156,10 +165,11 @@ def test_update_no_detection_passthrough():
     assert np.array_equal(out.weights, predicted.weights)
     assert np.array_equal(out.means, predicted.means)
     assert np.array_equal(out.covs, predicted.covs)
-    # With measurements present, the extra components all carry zero weight.
+    # With measurements present and p_D = 0 nothing can be detected, so no
+    # detection component is emitted.
     out2 = phd_update(predicted, PointPattern(np.zeros((2, 2))), profile, meas)
     assert mixture_mass(out2) == pytest.approx(mixture_mass(predicted), rel=1e-15)
-    assert np.all(out2.weights[len(predicted):] == 0.0)
+    assert len(out2) == len(predicted)
 
 
 def test_update_kalman_reduction():

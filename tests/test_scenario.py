@@ -227,6 +227,16 @@ def test_config_validation_errors_name_the_field():
         config_from_dict({"horizon": 5, "unknown_field": 1})
 
 
+def test_sensor_start_outside_area_rejected():
+    with pytest.raises(ConfigError, match="sensor_start"):
+        ScenarioConfig(sensor_start=(-500.0, -500.0))
+    with pytest.raises(ConfigError, match="sensor_start"):
+        config_from_dict({"sensor_start": [250.0, 1000.5]})
+    # The area's edges are inside it, as for in_area.
+    edge = ScenarioConfig(sensor_start=(0.0, 1000.0))
+    assert np.array_equal(edge.sensor_start, [0.0, 1000.0])
+
+
 def test_scenario_matrices_match_constant_velocity_form():
     cfg = ScenarioConfig()
     t = cfg.step_period
