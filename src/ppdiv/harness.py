@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import time
 from dataclasses import dataclass
 from multiprocessing import get_context
@@ -183,6 +184,11 @@ def _mc_worker(args) -> list[float]:
     return [s.ospa for s in record.steps]
 
 
+def _worker_count(parallelism: int, n_runs: int, cpus: int | None) -> int:
+    """Worker processes worth starting: no more than the runs or the CPUs."""
+    return min(parallelism, n_runs, cpus or 1)
+
+
 def run_montecarlo(
     cfg: ScenarioConfig,
     n_runs: int,
@@ -193,7 +199,8 @@ def run_montecarlo(
     """n_runs independent runs (run_index 0..n-1) and per-step OSPA stats.
 
     The result depends only on (cfg, master_seed, policy, n_runs); the
-    parallelism level changes wall-clock time, never values.
+    parallelism level changes wall-clock time, never values.  At most
+    min(parallelism, n_runs, CPU count) workers start; one means no pool.
     """
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
@@ -202,10 +209,11 @@ def run_montecarlo(
     seed = cfg.seed if master_seed is None else int(master_seed)
     started = time.monotonic()
     jobs = [(config_to_dict(cfg), seed, policy, i) for i in range(n_runs)]
-    if parallelism == 1:
+    workers = _worker_count(parallelism, n_runs, os.cpu_count())
+    if workers == 1:
         rows = [_mc_worker(job) for job in jobs]
     else:
-        with get_context("spawn").Pool(parallelism) as pool:
+        with get_context("spawn").Pool(workers) as pool:
             rows = pool.map(_mc_worker, jobs)
     matrix = np.array(rows)
     mean = matrix.mean(axis=0)

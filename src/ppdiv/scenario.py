@@ -155,6 +155,13 @@ class ScenarioConfig:
         def setattr_(name, value):
             object.__setattr__(self, name, value)
 
+        def check(name, model, *args):
+            # The filter model that consumes the matrix judges it.
+            try:
+                model(*args)
+            except ValueError as exc:
+                raise ConfigError(f"{name}: {exc}") from None
+
         def as_matrix(name, value, shape):
             arr = np.array(value, dtype=float)
             if arr.shape != shape:
@@ -176,6 +183,7 @@ class ScenarioConfig:
         setattr_("transition", as_matrix("transition", f, (d, d)))
         q = _cv_process_noise(t) if self.process_noise is None else self.process_noise
         setattr_("process_noise", as_matrix("process_noise", q, (d, d)))
+        check("process_noise", MotionModel, self.transition, self.process_noise)
 
         h = np.eye(2, d) if self.observation is None else np.array(self.observation, float)
         if h.ndim != 2 or h.shape[1] != d:
@@ -184,12 +192,14 @@ class ScenarioConfig:
         setattr_("observation", as_matrix("observation", h, (m, d)))
         r = 9.0 * np.eye(m) if self.meas_noise is None else self.meas_noise
         setattr_("meas_noise", as_matrix("meas_noise", r, (m, m)))
+        check("meas_noise", MeasModel, h, self.meas_noise)
         s = (
             1e6 * np.array([[3.0, -2.4], [-2.4, 3.6]])
             if self.detection_shape is None
             else self.detection_shape
         )
         setattr_("detection_shape", as_matrix("detection_shape", s, (m, m)))
+        check("detection_shape", DetectionTerm, 1.0, np.zeros(m), self.detection_shape, h)
 
         area = np.array(self.area, dtype=float)
         if area.shape != (m, 2):

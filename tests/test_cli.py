@@ -95,6 +95,23 @@ def test_sensor_start_outside_area_exits_two(tmp_path, capsys, policy):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("process_noise", (-np.eye(4)).tolist()),
+        ("meas_noise", [[9.0, 1.0], [0.0, 9.0]]),
+        ("detection_shape", [[1.0, 2.0], [2.0, 1.0]]),
+    ],
+)
+def test_bad_covariance_exits_two_naming_the_field(tmp_path, capsys, field, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({field: value}))
+    out = tmp_path / "o.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"error: {field}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_rejected_flags_exit_nonzero(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["simulate", "--config", "x.json", "--out", "y.csv", "--policy", "bogus"])

@@ -12,7 +12,13 @@ from ppdiv import (
     write_mc_csv,
     write_run_csv,
 )
-from ppdiv.harness import POLICIES, config_digest, mc_csv_text, run_csv_text
+from ppdiv.harness import (
+    POLICIES,
+    _worker_count,
+    config_digest,
+    mc_csv_text,
+    run_csv_text,
+)
 
 HEADER_RUN = "step,sensor_x,sensor_y,action,reward,n_true,n_est,n_meas,ospa"
 HEADER_MC = "step,ospa_mean,ospa_std,n_runs"
@@ -123,6 +129,15 @@ def test_montecarlo_parallelism_does_not_change_bytes():
     serial = run_montecarlo(cfg, n_runs=3, master_seed=17, policy="stay", parallelism=1)
     pooled = run_montecarlo(cfg, n_runs=3, master_seed=17, policy="stay", parallelism=2)
     assert mc_csv_text(serial) == mc_csv_text(pooled)
+
+
+def test_worker_count_is_clamped_to_runs_and_cpus():
+    # A pure function: no pool is started here, whatever the requested size.
+    assert _worker_count(1000, 3, 64) == 3
+    assert _worker_count(1000, 50, 2) == 2
+    assert _worker_count(4, 50, 8) == 4
+    assert _worker_count(1, 20, 8) == 1
+    assert _worker_count(8, 8, None) == 1
 
 
 def test_config_digest_properties():

@@ -225,6 +225,12 @@ def test_config_validation_errors_name_the_field():
         ScenarioConfig(clutter_rate=-1.0)
     with pytest.raises(ConfigError):
         config_from_dict({"horizon": 5, "unknown_field": 1})
+    with pytest.raises(ConfigError, match="^process_noise: .*positive semidefinite"):
+        ScenarioConfig(process_noise=-np.eye(4))
+    with pytest.raises(ConfigError, match="^meas_noise: .*not symmetric"):
+        ScenarioConfig(meas_noise=[[9.0, 1.0], [0.0, 9.0]])
+    with pytest.raises(ConfigError, match="^detection_shape: .*not positive definite"):
+        ScenarioConfig(detection_shape=[[1.0, 2.0], [2.0, 1.0]])
 
 
 def test_sensor_start_outside_area_rejected():
