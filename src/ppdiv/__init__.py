@@ -46,7 +46,6 @@ from .gmphd import (
     BirthSpawnModel,
     DetectionProfile,
     DetectionTerm,
-    GmPhdState,
     MeasModel,
     MotionModel,
     SpawnTerm,

@@ -279,21 +279,8 @@ class DetectionProfile:
         return out
 
 
-@dataclass(frozen=True)
-class GmPhdState:
-    """Posterior intensity at a timestep."""
-
-    intensity: GaussianMixture
-    timestep: int = 0
-
-    def __post_init__(self):
-        if not isinstance(self.intensity, GaussianMixture):
-            raise ValueError("intensity must be a GaussianMixture")
-        object.__setattr__(self, "timestep", int(self.timestep))
-
-
 def phd_predict(
-    state: GmPhdState, motion: MotionModel, birth_spawn: BirthSpawnModel
+    prior: GaussianMixture, motion: MotionModel, birth_spawn: BirthSpawnModel
 ) -> GaussianMixture:
     """Predicted intensity: survival + spawn + birth.
 
@@ -301,7 +288,6 @@ def phd_predict(
     spawn term (prior order within each block), then the birth components.
     Predicted mass is p_S * mass + mass * sum(spawn weights) + birth mass.
     """
-    prior = state.intensity
     d = motion.dim
     if prior.dim != d:
         raise ValueError(f"prior dimension {prior.dim} does not match motion {d}")

@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .control import _best_index, _evaluate_candidate, ideal_measurements, select_action
 from .gaussmix import GaussianMixture, mixture_inner, prune_merge
-from .gmphd import GmPhdState, extract_states, phd_predict, phd_update
+from .gmphd import extract_states, phd_predict, phd_update
 from .metrics import ospa
 from .pointprocess import RngStream
 from .scenario import (
@@ -135,12 +135,12 @@ def run_simulation(
     h = cfg.observation
 
     truth = TruthState.empty(cfg.state_dim)
-    state = GmPhdState(GaussianMixture.empty(cfg.state_dim), 0)
+    posterior = GaussianMixture.empty(cfg.state_dim)
     sensor = cfg.sensor_start
     records = []
     for k in range(1, cfg.horizon + 1):
         truth = step_truth(truth, cfg, truth_rng, k)
-        predicted = phd_predict(state, motion, births)
+        predicted = phd_predict(posterior, motion, births)
         sensor, action_index, chosen_reward = _choose_position(
             policy, predicted, sensor, cfg, policy_rng
         )
@@ -154,7 +154,6 @@ def run_simulation(
             cfg.merge_threshold,
             cfg.max_components,
         )
-        state = GmPhdState(posterior, k)
         estimates = extract_states(posterior, cfg.extraction_threshold)
         distance = ospa(truth.states @ h.T, estimates.points @ h.T, params)
         records.append(

@@ -19,7 +19,8 @@ standard desk scenario on a 1000 m x 1000 m area.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+import numbers
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -38,6 +39,84 @@ from .pointprocess import PointPattern, RngStream, sample_poisson_counts
 
 class ConfigError(ValueError):
     """Configuration rejected; message starts with the offending field path."""
+
+
+def _field(name: str, convert, *args):
+    """``convert(*args)``; a failure becomes a ConfigError naming the field.
+
+    A nested ConfigError already names its own field and passes through.
+    """
+    try:
+        return convert(*args)
+    except ConfigError:
+        raise
+    except KeyError as exc:
+        raise ConfigError(f"{name}: missing key {exc}") from None
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: {exc}") from None
+
+
+def _number(value, kind, test, requirement):
+    if not isinstance(value, numbers.Real):
+        raise TypeError(f"must be a number, got {value!r}")
+    number = kind(value)
+    if kind is int and number != value:
+        raise ValueError(f"must be a whole number, got {value!r}")
+    if not test(number):
+        raise ValueError(f"must be {requirement}, got {number!r}")
+    return number
+
+
+_POSITIVE = (lambda v: 0.0 < v < math.inf, "finite and > 0")
+_NONNEGATIVE = (lambda v: 0.0 <= v < math.inf, "finite and >= 0")
+
+# (name, type, test, requirement) of every scalar field of ScenarioConfig.
+_SCALARS = (
+    ("step_period", float, *_POSITIVE),
+    ("clutter_rate", float, *_NONNEGATIVE),
+    ("survival_prob", float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+    ("horizon", int, lambda v: v >= 1, ">= 1"),
+    ("radial_step", float, *_POSITIVE),
+    ("n_radial", int, lambda v: v >= 0, ">= 0"),
+    ("n_angular", int, lambda v: v >= 1, ">= 1"),
+    ("truncation_threshold", float, *_NONNEGATIVE),
+    ("merge_threshold", float, *_NONNEGATIVE),
+    ("max_components", int, lambda v: v >= 1, ">= 1"),
+    ("extraction_threshold", float, lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+    ("ospa_order", float, lambda v: 1.0 <= v < math.inf, "finite and >= 1"),
+    ("ospa_cutoff", float, *_POSITIVE),
+    ("seed", int, lambda v: v >= 0, ">= 0"),
+)
+
+
+def _matrix(value, default, shape) -> np.ndarray:
+    """``value`` (``default`` when None) as a read-only finite float matrix
+    of ``shape``, where a None size is free."""
+    arr = np.array(default if value is None else value, dtype=float)
+    if arr.ndim != 2 or any(n not in (None, k) for n, k in zip(shape, arr.shape)):
+        shown = ", ".join("n" if n is None else str(n) for n in shape)
+        raise ValueError(f"expected shape ({shown}), got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("has non-finite entries")
+    arr.setflags(write=False)
+    return arr
+
+
+def _area(value, m: int) -> np.ndarray:
+    area = _matrix(value, None, (m, 2))
+    if np.any(area[:, 0] >= area[:, 1]):
+        raise ValueError("rows must be [low, high] with low < high")
+    return area
+
+
+def _sensor_start(value, cfg) -> np.ndarray:
+    start = np.array(value, dtype=float).reshape(-1)
+    if start.size != cfg.meas_dim or not np.all(np.isfinite(start)):
+        raise ValueError(f"expected finite {cfg.meas_dim}-vector")
+    if not in_area(start, cfg):
+        raise ValueError(f"{start.tolist()} is outside area {cfg.area.tolist()}")
+    start.setflags(write=False)
+    return start
 
 
 def _cv_transition(t: float) -> np.ndarray:
@@ -63,6 +142,9 @@ def _cv_process_noise(t: float) -> np.ndarray:
             [0.0, b, 0.0, c],
         ]
     )
+
+
+_DETECTION_SHAPE = 1e6 * np.array([[3.0, -2.4], [-2.4, 3.6]])
 
 
 def _default_birth() -> GaussianMixture:
@@ -120,7 +202,8 @@ class ScenarioConfig:
 
     Matrix fields left as None are derived from ``step_period`` (transition,
     process_noise) or set to the standard sensor model (observation,
-    meas_noise, detection_shape).
+    meas_noise, detection_shape).  Integer fields take whole numbers only.
+    A bad field raises a ConfigError whose message starts with its name.
     """
 
     area: np.ndarray = ((0.0, 1000.0), (0.0, 1000.0))
@@ -149,146 +232,39 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
-        def fail(name, msg):
-            raise ConfigError(f"{name}: {msg}")
-
-        def setattr_(name, value):
+        def put(name, convert, *args):
+            value = _field(name, convert, getattr(self, name), *args)
             object.__setattr__(self, name, value)
+            return value
 
-        def check(name, model, *args):
-            # The filter model that consumes the matrix judges it.
-            try:
-                model(*args)
-            except ValueError as exc:
-                raise ConfigError(f"{name}: {exc}") from None
-
-        def as_matrix(name, value, shape):
-            arr = np.array(value, dtype=float)
-            if arr.shape != shape:
-                fail(name, f"expected shape {shape}, got {arr.shape}")
-            if not np.all(np.isfinite(arr)):
-                fail(name, "has non-finite entries")
-            arr.setflags(write=False)
-            return arr
-
-        t = float(self.step_period)
-        if not (t > 0.0 and math.isfinite(t)):
-            fail("step_period", f"must be finite and > 0, got {t!r}")
-        setattr_("step_period", t)
-
-        f = _cv_transition(t) if self.transition is None else np.array(self.transition, float)
-        if f.ndim != 2 or f.shape[0] != f.shape[1]:
-            fail("transition", f"must be square, got shape {f.shape}")
+        for name, *row in _SCALARS:
+            put(name, _number, *row)
+        t = self.step_period
+        f = put("transition", _matrix, _cv_transition(t), (None, None))
         d = f.shape[0]
-        setattr_("transition", as_matrix("transition", f, (d, d)))
-        q = _cv_process_noise(t) if self.process_noise is None else self.process_noise
-        setattr_("process_noise", as_matrix("process_noise", q, (d, d)))
-        check("process_noise", MotionModel, self.transition, self.process_noise)
-
-        h = np.eye(2, d) if self.observation is None else np.array(self.observation, float)
-        if h.ndim != 2 or h.shape[1] != d:
-            fail("observation", f"must have {d} columns, got shape {h.shape}")
+        if f.shape != (d, d):
+            raise ConfigError(f"transition: must be square, got shape {f.shape}")
+        put("process_noise", _matrix, _cv_process_noise(t), (d, d))
+        # The filter model that consumes a matrix judges it.
+        _field("process_noise", MotionModel, f, self.process_noise)
+        h = put("observation", _matrix, np.eye(2, d), (None, d))
         m = h.shape[0]
-        setattr_("observation", as_matrix("observation", h, (m, d)))
-        r = 9.0 * np.eye(m) if self.meas_noise is None else self.meas_noise
-        setattr_("meas_noise", as_matrix("meas_noise", r, (m, m)))
-        check("meas_noise", MeasModel, h, self.meas_noise)
-        s = (
-            1e6 * np.array([[3.0, -2.4], [-2.4, 3.6]])
-            if self.detection_shape is None
-            else self.detection_shape
-        )
-        setattr_("detection_shape", as_matrix("detection_shape", s, (m, m)))
-        check("detection_shape", DetectionTerm, 1.0, np.zeros(m), self.detection_shape, h)
+        put("meas_noise", _matrix, 9.0 * np.eye(m), (m, m))
+        _field("meas_noise", MeasModel, h, self.meas_noise)
+        put("detection_shape", _matrix, _DETECTION_SHAPE, (m, m))
+        _field("detection_shape", DetectionTerm, 1.0, np.zeros(m), self.detection_shape, h)
+        put("area", _area, m)
+        put("sensor_start", _sensor_start, self)
 
-        area = np.array(self.area, dtype=float)
-        if area.shape != (m, 2):
-            fail("area", f"expected shape ({m}, 2) [low, high] rows, got {area.shape}")
-        if not np.all(np.isfinite(area)) or np.any(area[:, 0] >= area[:, 1]):
-            fail("area", "rows must be finite with low < high")
-        area.setflags(write=False)
-        setattr_("area", area)
-
-        rate = float(self.clutter_rate)
-        if not (rate >= 0.0 and math.isfinite(rate)):
-            fail("clutter_rate", f"must be finite and >= 0, got {rate!r}")
-        setattr_("clutter_rate", rate)
-        ps = float(self.survival_prob)
-        if not (0.0 <= ps <= 1.0):
-            fail("survival_prob", f"must be in [0, 1], got {ps!r}")
-        setattr_("survival_prob", ps)
-
-        if not isinstance(self.birth, GaussianMixture):
-            fail("birth", "must be a GaussianMixture")
-        if self.birth.dim != d:
-            fail("birth", f"dimension {self.birth.dim} does not match state dimension {d}")
-        spawn = tuple(self.spawn_terms)
-        for i, term in enumerate(spawn):
-            if not isinstance(term, SpawnTerm):
-                fail(f"spawn_terms[{i}]", "must be a SpawnTerm")
-            if term.transition.shape[0] != d:
-                fail(f"spawn_terms[{i}]", "dimension does not match state dimension")
-        setattr_("spawn_terms", spawn)
-
-        script = tuple(self.truth_script)
-        for i, target in enumerate(script):
-            if not isinstance(target, TruthTarget):
-                fail(f"truth_script[{i}]", "must be a TruthTarget")
-            if target.state.size != d:
-                fail(f"truth_script[{i}].state", f"expected {d} entries, got {target.state.size}")
-        setattr_("truth_script", script)
-
-        start = np.array(self.sensor_start, dtype=float).reshape(-1)
-        if start.size != m or not np.all(np.isfinite(start)):
-            fail("sensor_start", f"expected finite {m}-vector")
-        if not in_area(start, self):
-            fail("sensor_start", f"{start.tolist()} is outside area {area.tolist()}")
-        start.setflags(write=False)
-        setattr_("sensor_start", start)
-
-        horizon = int(self.horizon)
-        if horizon < 1:
-            fail("horizon", f"must be >= 1, got {horizon}")
-        setattr_("horizon", horizon)
-        rstep = float(self.radial_step)
-        if not (rstep > 0.0 and math.isfinite(rstep)):
-            fail("radial_step", f"must be finite and > 0, got {rstep!r}")
-        setattr_("radial_step", rstep)
-        nr = int(self.n_radial)
-        if nr < 0:
-            fail("n_radial", f"must be >= 0, got {nr}")
-        setattr_("n_radial", nr)
-        na = int(self.n_angular)
-        if na < 1:
-            fail("n_angular", f"must be >= 1, got {na}")
-        setattr_("n_angular", na)
-
-        trunc = float(self.truncation_threshold)
-        if not (trunc >= 0.0 and math.isfinite(trunc)):
-            fail("truncation_threshold", f"must be finite and >= 0, got {trunc!r}")
-        setattr_("truncation_threshold", trunc)
-        merge = float(self.merge_threshold)
-        if not (merge >= 0.0 and math.isfinite(merge)):
-            fail("merge_threshold", f"must be finite and >= 0, got {merge!r}")
-        setattr_("merge_threshold", merge)
-        cap = int(self.max_components)
-        if cap < 1:
-            fail("max_components", f"must be >= 1, got {cap}")
-        setattr_("max_components", cap)
-        extract = float(self.extraction_threshold)
-        if not (0.0 < extract <= 1.0):
-            fail("extraction_threshold", f"must be in (0, 1], got {extract!r}")
-        setattr_("extraction_threshold", extract)
-        try:
-            OspaParams(float(self.ospa_order), float(self.ospa_cutoff))
-        except ValueError as exc:
-            fail("ospa_order/ospa_cutoff", str(exc))
-        setattr_("ospa_order", float(self.ospa_order))
-        setattr_("ospa_cutoff", float(self.ospa_cutoff))
-        seed = int(self.seed)
-        if seed < 0:
-            fail("seed", f"must be >= 0, got {seed}")
-        setattr_("seed", seed)
+        if not isinstance(self.birth, GaussianMixture) or self.birth.dim != d:
+            raise ConfigError(f"birth: must be a GaussianMixture of dimension {d}")
+        for name, kind, dim in (
+            ("spawn_terms", SpawnTerm, lambda term: term.transition.shape[0]),
+            ("truth_script", TruthTarget, lambda target: target.state.size),
+        ):
+            for i, item in enumerate(put(name, tuple)):
+                if not isinstance(item, kind) or dim(item) != d:
+                    raise ConfigError(f"{name}[{i}]: must be a {kind.__name__} of dimension {d}")
 
     @property
     def state_dim(self) -> int:
@@ -461,48 +437,36 @@ def in_area(pos, cfg: ScenarioConfig) -> bool:
 # JSON configuration schema
 
 
+def _to_json(value):
+    """A config value as JSON: dataclasses field by field, arrays as lists."""
+    if isinstance(value, GaussianMixture):
+        return mixture_to_dict(value)
+    if is_dataclass(value):
+        return {f.name: _to_json(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return [_to_json(item) for item in value]
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
 def config_to_dict(cfg: ScenarioConfig) -> dict:
-    return {
-        "area": cfg.area.tolist(),
-        "step_period": cfg.step_period,
-        "transition": cfg.transition.tolist(),
-        "process_noise": cfg.process_noise.tolist(),
-        "observation": cfg.observation.tolist(),
-        "meas_noise": cfg.meas_noise.tolist(),
-        "detection_shape": cfg.detection_shape.tolist(),
-        "clutter_rate": cfg.clutter_rate,
-        "survival_prob": cfg.survival_prob,
-        "birth": mixture_to_dict(cfg.birth),
-        "spawn_terms": [
-            {
-                "weight": t.weight,
-                "transition": t.transition.tolist(),
-                "offset": t.offset.tolist(),
-                "noise": t.noise.tolist(),
-            }
-            for t in cfg.spawn_terms
-        ],
-        "truth_script": [
-            {
-                "birth_step": t.birth_step,
-                "death_step": t.death_step,
-                "state": t.state.tolist(),
-            }
-            for t in cfg.truth_script
-        ],
-        "sensor_start": cfg.sensor_start.tolist(),
-        "horizon": cfg.horizon,
-        "radial_step": cfg.radial_step,
-        "n_radial": cfg.n_radial,
-        "n_angular": cfg.n_angular,
-        "truncation_threshold": cfg.truncation_threshold,
-        "merge_threshold": cfg.merge_threshold,
-        "max_components": cfg.max_components,
-        "extraction_threshold": cfg.extraction_threshold,
-        "ospa_order": cfg.ospa_order,
-        "ospa_cutoff": cfg.ospa_cutoff,
-        "seed": cfg.seed,
-    }
+    return _to_json(cfg)
+
+
+# How one JSON item of each list field becomes a filter object.
+_ITEMS = {
+    "spawn_terms": lambda item: SpawnTerm(
+        item["weight"], item["transition"], item["offset"], item["noise"]
+    ),
+    "truth_script": lambda item: TruthTarget(
+        item["birth_step"], item.get("death_step"), item["state"]
+    ),
+}
+
+
+def _items(name: str, items) -> tuple:
+    if not isinstance(items, list):
+        raise TypeError(f"must be a list, got {type(items).__name__}")
+    return tuple(_field(f"{name}[{i}]", _ITEMS[name], item) for i, item in enumerate(items))
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:
@@ -510,7 +474,8 @@ def config_from_dict(data: dict) -> ScenarioConfig:
 
     Every key is optional and defaults to the desk scenario.  ``birth`` uses
     the mixture document schema; ``truth_script`` entries are objects with
-    birth_step, death_step (null = immortal), and state.
+    birth_step, death_step (null = immortal), and state.  Every malformed
+    value raises a ConfigError that starts with its field path.
     """
     if not isinstance(data, dict):
         raise ConfigError("configuration document must be a JSON object")
@@ -519,32 +484,11 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     for key, value in data.items():
         if key not in known:
             raise ConfigError(f"{key}: unknown configuration field")
+        if key == "birth":
+            value = _field(key, mixture_from_dict, value)
+        elif key in _ITEMS:
+            value = _field(key, _items, key, value)
         kwargs[key] = value
-    if "birth" in kwargs:
-        try:
-            kwargs["birth"] = mixture_from_dict(kwargs["birth"])
-        except ValueError as exc:
-            raise ConfigError(f"birth: {exc}") from None
-    if "spawn_terms" in kwargs:
-        terms = []
-        for i, item in enumerate(kwargs["spawn_terms"]):
-            try:
-                terms.append(
-                    SpawnTerm(item["weight"], item["transition"], item["offset"], item["noise"])
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(f"spawn_terms[{i}]: {exc}") from None
-        kwargs["spawn_terms"] = tuple(terms)
-    if "truth_script" in kwargs:
-        script = []
-        for i, item in enumerate(kwargs["truth_script"]):
-            try:
-                script.append(
-                    TruthTarget(item["birth_step"], item.get("death_step"), item["state"])
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(f"truth_script[{i}]: {exc}") from None
-        kwargs["truth_script"] = tuple(script)
     return ScenarioConfig(**kwargs)
 
 

@@ -54,7 +54,6 @@ from .gaussmix import (
 from .gmphd import (
     BirthSpawnModel,
     DetectionProfile,
-    GmPhdState,
     MeasModel,
     MotionModel,
     extract_states,
@@ -75,8 +74,10 @@ from .scenario import (
     TruthState,
     TruthTarget,
     action_positions,
+    birth_model,
     detection_probability,
     generate_measurements,
+    motion_model,
     step_truth,
 )
 
@@ -417,11 +418,11 @@ def _check_kalman_reduction(report: _Report):
     births = BirthSpawnModel(GaussianMixture.empty(4))
     profile = DetectionProfile(constant=1.0)
     model = MeasModel(h, r, 0.0, None)
-    state = GmPhdState(GaussianMixture([1.0], [m0], [p0]), 0)
+    prior = GaussianMixture([1.0], [m0], [p0])
     mean_err, cov_err, mass_err = [], [], []
     bad_extractions = 0
     for k, z in enumerate(zs):
-        predicted = phd_predict(state, motion, births)
+        predicted = phd_predict(prior, motion, births)
         posterior = phd_update(predicted, PointPattern([z], dim=2), profile, model)
         mass_err.append(abs(mixture_mass(posterior) - 1.0))
         kept = prune_merge(posterior, 1e-12, 0.0, 4)
@@ -431,7 +432,7 @@ def _check_kalman_reduction(report: _Report):
         mean_err.append(float(np.abs(kept.means[0] - mean).max()))
         cov_err.append(float(np.abs(kept.covs[0] - cov).max()))
         bad_extractions += len(extract_states(kept, 0.5)) != 1
-        state = GmPhdState(kept, k + 1)
+        prior = kept
     for name, errors, detail in (
         ("mean", mean_err, "max |PHD - Kalman| mean entry"),
         ("cov", cov_err, "max |PHD - Kalman| covariance entry"),
@@ -565,12 +566,7 @@ def _check_scenario_statistics(report: _Report, rng: RngStream):
 
 def _check_reward_orientation(report: _Report):
     cfg = ScenarioConfig()
-    state = GmPhdState(GaussianMixture.empty(4), 0)
-    predicted = phd_predict(
-        state,
-        MotionModel(cfg.transition, cfg.process_noise, cfg.survival_prob),
-        BirthSpawnModel(cfg.birth, cfg.spawn_terms),
-    )
+    predicted = phd_predict(GaussianMixture.empty(4), motion_model(cfg), birth_model(cfg))
     z_star = PointPattern.empty(2)
     candidates = action_positions(cfg.sensor_start, cfg)
     center = np.array([500.0, 500.0])

@@ -18,7 +18,7 @@ import pytest
 from ppdiv import GaussianMixture, ScenarioConfig
 from ppdiv.cli import main as cli_main
 from ppdiv.gaussmix import mixture_mass, prune_merge
-from ppdiv.gmphd import GmPhdState, phd_predict, phd_update
+from ppdiv.gmphd import phd_predict, phd_update
 from ppdiv.harness import config_to_dict
 from ppdiv.pointprocess import RngStream
 from ppdiv.scenario import (
@@ -179,12 +179,12 @@ def test_criterion_08_filter_mass_identities():
         truth_rng, meas_rng = base.child(0), base.child(1)
         clutter_rng, policy_rng = base.child(2), base.child(3)
         truth = TruthState.empty(cfg.state_dim)
-        state = GmPhdState(GaussianMixture.empty(cfg.state_dim), 0)
+        prior = GaussianMixture.empty(cfg.state_dim)
         sensor = cfg.sensor_start
         for k in range(1, cfg.horizon + 1):
             truth = step_truth(truth, cfg, truth_rng, k)
-            predicted = phd_predict(state, motion, births)
-            balance = cfg.survival_prob * mixture_mass(state.intensity) + birth_mass
+            predicted = phd_predict(prior, motion, births)
+            balance = cfg.survival_prob * mixture_mass(prior) + birth_mass
             worst_predict = max(worst_predict, abs(mixture_mass(predicted) - balance))
             candidates = action_positions(sensor, cfg)
             admissible = [
@@ -201,14 +201,11 @@ def test_criterion_08_filter_mass_identities():
             assert np.all(blocks >= 0.0) and np.all(blocks <= 1.0 + 1e-9)
             err = abs(mixture_mass(posterior) - (t_missed + blocks.sum()))
             worst_update = max(worst_update, err)
-            state = GmPhdState(
-                prune_merge(
-                    posterior,
-                    cfg.truncation_threshold,
-                    cfg.merge_threshold,
-                    cfg.max_components,
-                ),
-                k,
+            prior = prune_merge(
+                posterior,
+                cfg.truncation_threshold,
+                cfg.merge_threshold,
+                cfg.max_components,
             )
             n_steps += 1
     assert worst_predict < 1e-9

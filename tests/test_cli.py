@@ -1,6 +1,7 @@
 """Command-line entry points."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -109,6 +110,27 @@ def test_bad_covariance_exits_two_naming_the_field(tmp_path, capsys, field, valu
     out = tmp_path / "o.csv"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
     assert f"error: {field}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"horizon": None},
+        {"area": "x"},
+        {"spawn_terms": 5},
+        {"truth_script": [1]},
+        {"horizon": 2.9},
+    ],
+    ids=["null-number", "string-matrix", "non-list", "bad-list-item", "non-integral"],
+)
+def test_malformed_field_exits_two_naming_it(tmp_path, capsys, doc):
+    (name,) = doc
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "o.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert re.match(rf"error: {name}(\[\d+\])?: ", capsys.readouterr().err)
     assert not out.exists()
 
 

@@ -11,7 +11,6 @@ from ppdiv import (
     DetectionProfile,
     DetectionTerm,
     GaussianMixture,
-    GmPhdState,
     MeasModel,
     MotionModel,
     PointPattern,
@@ -86,7 +85,7 @@ def test_predict_single_component():
     prior = GaussianMixture([1.0], [[2.0, -1.0]], [np.diag([4.0, 9.0])])
     motion = MotionModel(f, q, survival_prob=0.9)
     empty_birth = BirthSpawnModel(GaussianMixture.empty(2))
-    out = phd_predict(GmPhdState(prior, 0), motion, empty_birth)
+    out = phd_predict(prior, motion, empty_birth)
     assert len(out) == 1
     assert out.weights[0] == pytest.approx(0.9, rel=1e-15)
     assert np.allclose(out.means[0], f @ prior.means[0])
@@ -96,7 +95,7 @@ def test_predict_single_component():
 def test_predict_empty_prior_returns_birth():
     birth = random_mixture(RngStream(1), 2, 3, 0.4)
     motion = MotionModel(np.eye(2), np.eye(2), survival_prob=0.99)
-    out = phd_predict(GmPhdState(GaussianMixture.empty(2), 0), motion, BirthSpawnModel(birth))
+    out = phd_predict(GaussianMixture.empty(2), motion, BirthSpawnModel(birth))
     assert np.array_equal(out.weights, birth.weights)
     assert np.array_equal(out.means, birth.means)
     assert np.array_equal(out.covs, birth.covs)
@@ -115,7 +114,7 @@ def test_predict_mass_balance_with_spawning():
             for _ in range(2)
         )
         motion = MotionModel(gen.normal(size=(d, d)), random_spd(gen, d, 0.3), 0.95)
-        out = phd_predict(GmPhdState(prior, 3), motion, BirthSpawnModel(birth, spawn))
+        out = phd_predict(prior, motion, BirthSpawnModel(birth, spawn))
         expected = (
             0.95 * mixture_mass(prior)
             + mixture_mass(prior) * sum(t.weight for t in spawn)
@@ -188,16 +187,16 @@ def test_update_kalman_reduction():
     meas = MeasModel(h, r, clutter_rate=0.0, clutter_region=None)
     motion = MotionModel(f, q, survival_prob=1.0)
     births = BirthSpawnModel(GaussianMixture.empty(2))
-    state = GmPhdState(GaussianMixture([1.0], [m0], [p0]), 0)
+    prior = GaussianMixture([1.0], [m0], [p0])
     for k, z in enumerate(zs):
-        predicted = phd_predict(state, motion, births)
+        predicted = phd_predict(prior, motion, births)
         posterior = phd_update(predicted, PointPattern(z[None, :]), profile, meas)
         assert mixture_mass(posterior) == pytest.approx(1.0, abs=1e-9)
         mean_ref, cov_ref = oracle[k]
         best = int(np.argmax(posterior.weights))
         assert np.allclose(posterior.means[best], mean_ref, atol=1e-9)
         assert np.allclose(posterior.covs[best], cov_ref, atol=1e-9)
-        state = GmPhdState(posterior, k + 1)
+        prior = posterior
 
 
 def test_update_clutter_dominated_limit():

@@ -7,6 +7,7 @@ import pytest
 
 from ppdiv import (
     ScenarioConfig,
+    config_from_dict,
     run_montecarlo,
     run_simulation,
     write_mc_csv,
@@ -148,6 +149,26 @@ def test_config_digest_properties():
     assert config_digest(a) != config_digest(c)
     assert len(config_digest(a)) == 64
     int(config_digest(a), 16)
+
+
+def test_config_digest_is_pinned():
+    # The sidecar digests of the default config and of a round-tripped one
+    # with a spawn term; config_to_dict must keep producing these bytes.
+    assert config_digest(ScenarioConfig()) == (
+        "b1ea1756835619d5200d71d58427cbb6099e3736dfab339a90b384a8b5664534"
+    )
+    doc = {
+        "horizon": 12,
+        "seed": 99,
+        "clutter_rate": 1e-5,
+        "spawn_terms": [
+            {"weight": 0.1, "transition": np.eye(4).tolist(), "offset": [1, 2, 0, 0],
+             "noise": np.eye(4).tolist()}
+        ],
+    }
+    assert config_digest(config_from_dict(doc)) == (
+        "8177a62048a6bb66a4c01f8215ec3dcbbf9eaef94c932ce8b0acd27dcaf16807"
+    )
 
 
 def test_write_run_csv_and_sidecar(tmp_path):

@@ -1,5 +1,6 @@
 """Truth simulation, detection model, measurements, and configuration."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -231,6 +232,43 @@ def test_config_validation_errors_name_the_field():
         ScenarioConfig(meas_noise=[[9.0, 1.0], [0.0, 9.0]])
     with pytest.raises(ConfigError, match="^detection_shape: .*not positive definite"):
         ScenarioConfig(detection_shape=[[1.0, 2.0], [2.0, 1.0]])
+
+
+# Matrix fields whose JSON null means "use the default".
+DEFAULTED_MATRICES = ("transition", "process_noise", "observation", "meas_noise", "detection_shape")
+
+
+@pytest.mark.parametrize("value", [None, "x", [1], {"a": 1}], ids=["null", "str", "list", "object"])
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ScenarioConfig)])
+def test_every_malformed_field_is_named(name, value):
+    if value is None and name in DEFAULTED_MATRICES:
+        got = getattr(config_from_dict({name: None}), name)
+        assert np.array_equal(got, getattr(ScenarioConfig(), name))
+        return
+    with pytest.raises(ConfigError, match=rf"^{name}(\[\d+\])?: "):
+        config_from_dict({name: value})
+
+
+@pytest.mark.parametrize("name", ["horizon", "n_radial", "n_angular", "max_components", "seed"])
+def test_integer_fields_take_whole_numbers_only(name):
+    for bad in (2.9, -0.5, 1e400, float("nan")):
+        with pytest.raises(ConfigError, match=f"^{name}: "):
+            config_from_dict({name: bad})
+    with pytest.raises(ConfigError, match=f"^{name}: must be a whole number, got 2.9$"):
+        ScenarioConfig(**{name: 2.9})
+    for whole in (40, 40.0, np.int64(40)):
+        value = getattr(ScenarioConfig(**{name: whole}), name)
+        assert value == 40 and type(value) is int
+
+
+def test_list_items_are_named_by_index():
+    state = [0.0, 0.0, 0.0, 0.0]
+    with pytest.raises(ConfigError, match=r"^truth_script\[1\]: missing key 'state'$"):
+        config_from_dict({"truth_script": [{"birth_step": 1, "state": state}, {"birth_step": 2}]})
+    with pytest.raises(ConfigError, match=r"^spawn_terms\[0\]: missing key 'transition'$"):
+        config_from_dict({"spawn_terms": [{"weight": 0.1}]})
+    with pytest.raises(ConfigError, match=r"^truth_script\[0\]: must be a TruthTarget of dimension 4$"):
+        ScenarioConfig(truth_script=(TruthTarget(1, None, [0.0, 0.0]),))
 
 
 def test_sensor_start_outside_area_rejected():
