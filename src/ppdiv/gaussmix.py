@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,6 +141,22 @@ class GaussianMixture:
         self.covs = _frozen(_spd(c))
 
     @classmethod
+    def trusted(cls, weights, means, covs) -> "GaussianMixture":
+        """Mixture over float arrays that already hold the invariants: weights
+        (n,) finite and >= 0, means (n, d) finite, covs (n, d, d) exactly
+        symmetric and positive definite.
+
+        Nothing is copied or checked, so the arrays are frozen in place.  For
+        code that builds such arrays itself (the filter's predict, update and
+        prune steps); anything from outside goes through the constructor.
+        """
+        u = cls.__new__(cls)
+        u.weights = _frozen(weights)
+        u.means = _frozen(means)
+        u.covs = _frozen(covs)
+        return u
+
+    @classmethod
     def empty(cls, dim: int) -> "GaussianMixture":
         return cls(np.zeros(0), np.zeros((0, dim)), np.zeros((0, dim, dim)))
 
@@ -197,21 +214,32 @@ def _maha(chol: np.ndarray, diffs: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...i->...", y, y)
 
 
+def gauss_factor(covs) -> tuple[np.ndarray, np.ndarray]:
+    """(L, 0.5 log|C|) for batched covariances C (..., d, d), with L the lower
+    Cholesky factor: everything ``log_gauss_factored`` needs of C."""
+    covs = np.asarray(covs, dtype=float)
+    try:
+        chol = np.linalg.cholesky(covs)
+    except np.linalg.LinAlgError:
+        raise ValueError("covariance in batched evaluation is not positive definite") from None
+    return chol, np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
+
+
+def log_gauss_factored(diffs: np.ndarray, factor: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """log N(diff; 0, C) for batched diffs (..., d), from ``factor`` =
+    gauss_factor(C); the factor broadcasts against ``diffs``."""
+    chol, logdet_half = factor
+    diffs = np.asarray(diffs, dtype=float)
+    return -0.5 * (_maha(chol, diffs) + diffs.shape[-1] * _LOG_2PI) - logdet_half
+
+
 def log_gauss(diffs: np.ndarray, covs: np.ndarray) -> np.ndarray:
     """log N(diff; 0, C) for batched diffs (..., d) and covariances (..., d, d).
 
     ``covs`` broadcasts against ``diffs``; pass it unbroadcast so that each
     covariance is factored once, however many diffs share it.
     """
-    diffs = np.asarray(diffs, dtype=float)
-    covs = np.asarray(covs, dtype=float)
-    d = diffs.shape[-1]
-    try:
-        chol = np.linalg.cholesky(covs)
-    except np.linalg.LinAlgError:
-        raise ValueError("covariance in batched evaluation is not positive definite") from None
-    logdet_half = np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
-    return -0.5 * (_maha(chol, diffs) + d * _LOG_2PI) - logdet_half
+    return log_gauss_factored(diffs, gauss_factor(covs))
 
 
 def gauss_log_eval(x, g: Gaussian) -> float:
@@ -395,7 +423,7 @@ def prune_merge(
         order = np.argsort(-ww, kind="stable")[:max_components]
         order = np.sort(order)
         ww, mm, cc = ww[order], mm[order], cc[order]
-    return GaussianMixture(ww, mm, cc)
+    return GaussianMixture.trusted(ww, mm, cc)
 
 
 # ---------------------------------------------------------------------------
@@ -416,10 +444,15 @@ def mixture_from_dict(data: dict) -> GaussianMixture:
     if not isinstance(data, dict):
         raise ValueError("mixture document must be a JSON object")
     try:
-        dim = int(data["dim"])
+        dim = data["dim"]
         comps = data["components"]
     except KeyError as exc:
         raise ValueError(f"mixture document missing key {exc.args[0]!r}") from None
+    if not isinstance(dim, numbers.Integral) and not (
+        isinstance(dim, numbers.Real) and float(dim).is_integer()
+    ):
+        raise ValueError(f"dim must be a whole number, got {dim!r}")
+    dim = int(dim)
     if dim <= 0:
         raise ValueError(f"dim must be >= 1, got {dim}")
     if not isinstance(comps, list):

@@ -224,6 +224,13 @@ class DetectionTerm:
     def state_dim(self) -> int:
         return self.projection.shape[1]
 
+    def evaluate(self, states: np.ndarray, centers: np.ndarray | None = None) -> np.ndarray:
+        """w N(D x; c, S) at each state row, shape (n,); with ``centers``
+        (k, m), the term moved to each of them, shape (n, k)."""
+        y = states @ self.projection.T
+        diffs = y - self.center if centers is None else y[:, None, :] - centers[None, :, :]
+        return self.weight * np.exp(log_gauss(diffs, self.cov))
+
 
 @dataclass(frozen=True)
 class DetectionProfile:
@@ -274,8 +281,7 @@ class DetectionProfile:
                 raise ValueError(
                     f"states have dimension {states.shape[1]}, profile expects {term.state_dim}"
                 )
-            y = states @ term.projection.T
-            out = out + term.weight * np.exp(log_gauss(y - term.center, term.cov))
+            out = out + term.evaluate(states)
         return out
 
 
@@ -311,15 +317,18 @@ def phd_predict(
         return GaussianMixture.empty(d)
     cc = np.concatenate([c.reshape(-1, d, d) for c in covs])
     cc = 0.5 * (cc + np.swapaxes(cc, -1, -2))
-    return GaussianMixture(w, np.concatenate([m.reshape(-1, d) for m in means]), cc)
+    return GaussianMixture.trusted(w, np.concatenate([m.reshape(-1, d) for m in means]), cc)
 
 
 def _kalman(means, covs, projection, noise, targets):
     """Condition each N(x; m_i, P_i) on y = projection x + N(0, noise) at each target row.
 
-    For S_i = D P_i D' + R and K_i = P_i D' S_i^-1, returns (q, m', P') with
-    q[i, t] = N(y_t; D m_i, S_i), m'[i, t] = m_i + K_i (y_t - D m_i) and
-    P'_i = (I - K_i D) P_i, shapes (n, t), (n, t, d) and (n, d, d).
+    ``means`` is (n, ..., d): the axes after the first are batch axes that
+    share component i's covariance, whose gain and conditioned covariance
+    are computed once.  For S_i = D P_i D' + R and K_i = P_i D' S_i^-1,
+    returns (q, m', P') with q[i, ..., t] = N(y_t; D m_i, S_i),
+    m'[i, ..., t] = m_i + K_i (y_t - D m_i) and P'_i = (I - K_i D) P_i,
+    shapes (n, ..., t), (n, ..., t, d) and (n, d, d).
     """
     dm = means @ projection.T
     dp = np.einsum("ab,ibc->iac", projection, covs)
@@ -328,10 +337,11 @@ def _kalman(means, covs, projection, noise, targets):
         gain = np.swapaxes(np.linalg.solve(s, dp), -1, -2)
     except np.linalg.LinAlgError:
         raise ValueError("singular innovation covariance in the PHD update") from None
-    innov = targets[None, :, :] - dm[:, None, :]
-    q = np.exp(log_gauss(innov, s[:, None, :, :]))
-    m1 = means[:, None, :] + np.einsum("iab,izb->iza", gain, innov)
-    shrink = np.eye(means.shape[1]) - np.einsum("iab,bc->iac", gain, projection)
+    innov = targets - dm[..., None, :]
+    batch = (slice(None),) + (None,) * (means.ndim - 1)
+    q = np.exp(log_gauss(innov, s[batch]))
+    m1 = means[..., None, :] + np.einsum("iab,i...b->i...a", gain, innov)
+    shrink = np.eye(means.shape[-1]) - np.einsum("iab,bc->iac", gain, projection)
     p1 = np.einsum("iab,ibc->iac", shrink, covs)
     return q, m1, 0.5 * (p1 + np.swapaxes(p1, -1, -2))
 
@@ -355,6 +365,70 @@ def _condition_on_terms(predicted: GaussianMixture, profile: DetectionProfile):
     return tuple(np.concatenate(arrays) for arrays in zip(*blocks))
 
 
+def _check_update(predicted: GaussianMixture, measurements: PointPattern, meas: MeasModel):
+    d = predicted.dim
+    if meas.state_dim != d:
+        raise ValueError(f"observation matrix expects state dim {meas.state_dim}, got {d}")
+    if measurements.dim != meas.meas_dim:
+        raise ValueError(
+            f"measurements have dimension {measurements.dim}, model has {meas.meas_dim}"
+        )
+
+
+def _missed_weights(weights, w_cond, pd_at_means):
+    """Missed-detection weights: the exact missed mass T = mass - sum(w_cond)
+    spread over the predicted components in proportion to their plug-in
+    missed weights (1 - p_D(m_i)) w_i.
+
+    ``w_cond`` (m, ...) and ``pd_at_means`` (n, ...) may carry trailing
+    candidate axes, each with a T of its own; the result is (n, ...).
+    """
+    mass = float(weights.sum())
+    t_mass = mass - w_cond.sum(axis=0)
+    if np.any(t_mass < -1e-9):
+        raise ValueError(
+            f"negative missed-detection mass {float(np.min(t_mass)):.3g}: "
+            "detection profile exceeds 1"
+        )
+    t_mass = np.maximum(t_mass, 0.0)
+    w_mu = np.maximum(1.0 - pd_at_means, 0.0) * weights.reshape(
+        (-1,) + (1,) * (pd_at_means.ndim - 1)
+    )
+    sum_mu = w_mu.sum(axis=0)
+    spread = (t_mass > _EPS_MASS) & (sum_mu > _EPS_MASS)
+    w_missed = np.where(spread, w_mu * (t_mass / np.where(spread, sum_mu, 1.0)), 0.0)
+    total = w_missed.sum(axis=0)
+    off = np.flatnonzero(spread & ~(np.abs(total - t_mass) <= 1e-9 * max(1.0, mass)))
+    if off.size:
+        i = off[0]
+        raise RuntimeError(
+            f"missed-detection weights sum to {float(np.ravel(total)[i])!r}, "
+            f"not T = {float(np.ravel(t_mass)[i])!r}"
+        )
+    return w_missed
+
+
+def _detection_weights(num, clutter):
+    """num / (clutter + num summed over components), 0 where that is 0.
+
+    ``num`` (m, ..., nz) holds w_cond q per component and measurement,
+    ``clutter`` (nz,) the clutter intensity at each measurement.
+    """
+    denom = clutter + num.sum(axis=0)
+    return np.where(denom > 0.0, num / np.where(denom > 0.0, denom, 1.0), 0.0)
+
+
+def _posterior(predicted: GaussianMixture, w_missed, w_det, m_det, p_det) -> GaussianMixture:
+    """phd_update's component layout: the missed block, with the predicted
+    means and covariances, then one detection block per measurement, with
+    weights w_det (nz, m), means m_det (nz, m, d) and covariances p_det (m, d, d)."""
+    return GaussianMixture.trusted(
+        np.concatenate([w_missed, w_det.reshape(-1)]),
+        np.concatenate([predicted.means, m_det.reshape(-1, predicted.dim)]),
+        np.concatenate([predicted.covs, np.tile(p_det, (w_det.shape[0], 1, 1))]),
+    )
+
+
 def phd_update(
     predicted: GaussianMixture,
     measurements: PointPattern,
@@ -369,51 +443,80 @@ def phd_update(
     _condition_on_terms.  Posterior mass equals T + sum of per-measurement
     detection masses, each of the latter in [0, 1].
     """
-    d = predicted.dim
-    if meas.state_dim != d:
-        raise ValueError(f"observation matrix expects state dim {meas.state_dim}, got {d}")
-    if measurements.dim != meas.meas_dim:
-        raise ValueError(
-            f"measurements have dimension {measurements.dim}, model has {meas.meas_dim}"
-        )
+    _check_update(predicted, measurements, meas)
     if len(predicted) == 0:
-        return GaussianMixture.empty(d)
+        return GaussianMixture.empty(predicted.dim)
     w_cond, m_cond, p_cond = _condition_on_terms(predicted, detection)
+    w_missed = _missed_weights(predicted.weights, w_cond, detection.evaluate(predicted.means))
+    if len(measurements) == 0:
+        return GaussianMixture.trusted(w_missed, predicted.means, predicted.covs)
+    z = measurements.points
+    qz, m_det, p2 = _kalman(m_cond, p_cond, meas.observation, meas.noise, z)
+    w_det = _detection_weights(w_cond[:, None] * qz, clutter_intensity(meas, z))
+    return _posterior(predicted, w_missed, w_det.T, np.swapaxes(m_det, 0, 1), p2)
 
-    # Missed detections: exact mass T spread over predicted components in
-    # proportion to their plug-in missed weights.
-    mass = float(predicted.weights.sum())
-    detected_mass = float(w_cond.sum())
-    t_mass = mass - detected_mass
-    if t_mass < -1e-9:
-        raise ValueError(
-            f"negative missed-detection mass {t_mass:.3g}: detection profile exceeds 1"
+
+@dataclass(frozen=True)
+class CenteredUpdates:
+    """phd_update of one predicted intensity against one measurement set, for
+    the one-term detection profile w N(D x; c, S) moved to each of k centers c.
+
+    Every one of these posteriors has the same covariances: the missed block
+    keeps the predicted ones, and every detection block has ``covs``, the
+    predicted ones conditioned on the detection term and then on the
+    measurement noise, none of which depends on c.  Only weights and means
+    move with the center: ``missed`` (k, n) holds the missed-block weights,
+    ``detected`` (k, nz, n) and ``means`` (k, nz, n, d) the detection blocks',
+    one block per measurement.
+    """
+
+    predicted: GaussianMixture
+    missed: np.ndarray
+    detected: np.ndarray
+    means: np.ndarray
+    covs: np.ndarray
+
+    def posterior(self, t: int) -> GaussianMixture:
+        """The posterior for centers[t], laid out as phd_update lays it out."""
+        return _posterior(
+            self.predicted, self.missed[t], self.detected[t], self.means[t], self.covs
         )
-    t_mass = max(t_mass, 0.0)
-    pd_at_means = detection.evaluate(predicted.means)
-    w_mu = np.maximum(1.0 - pd_at_means, 0.0) * predicted.weights
-    sum_mu = float(w_mu.sum())
-    if t_mass <= _EPS_MASS or sum_mu <= _EPS_MASS:
-        w_missed = np.zeros(len(predicted))
-    else:
-        w_missed = w_mu * (t_mass / sum_mu)
-        if not abs(float(w_missed.sum()) - t_mass) <= 1e-9 * max(1.0, mass):
-            raise RuntimeError(
-                f"missed-detection weights sum to {float(w_missed.sum())!r}, not T = {t_mass!r}"
-            )
 
-    nz = len(measurements)
-    if nz == 0:
-        out_w, out_m, out_p = w_missed, predicted.means, predicted.covs
-    else:
-        qz, m_det, p2 = _kalman(m_cond, p_cond, meas.observation, meas.noise, measurements.points)
-        num = w_cond[:, None] * qz
-        denom = clutter_intensity(meas, measurements.points) + num.sum(axis=0)
-        w_det = np.where(denom > 0.0, num / np.where(denom > 0.0, denom, 1.0), 0.0)
-        out_w = np.concatenate([w_missed, w_det.T.reshape(-1)])
-        out_m = np.concatenate([predicted.means, np.swapaxes(m_det, 0, 1).reshape(-1, d)])
-        out_p = np.concatenate([predicted.covs, np.tile(p2, (nz, 1, 1))])
-    return GaussianMixture(out_w, out_m, out_p)
+
+def phd_update_at_centers(
+    predicted: GaussianMixture,
+    measurements: PointPattern,
+    term: DetectionTerm,
+    centers,
+    meas: MeasModel,
+) -> CenteredUpdates:
+    """phd_update for p_D(x) = w N(D x; c, S) at each row c of ``centers``.
+
+    One batched pass: the gains and conditioned covariances are computed once
+    for every center, and the same checks as phd_update's guard each
+    posterior.  ``term`` should come from a DetectionProfile, whose
+    construction checks that p_D stays <= 1; moving the center keeps that.
+    """
+    _check_update(predicted, measurements, meas)
+    if term.state_dim != predicted.dim:
+        raise ValueError(
+            f"detection term expects state dim {term.state_dim}, got {predicted.dim}"
+        )
+    centers = np.asarray(centers, dtype=float).reshape(-1, term.center.size)
+    w, m, p = predicted.weights, predicted.means, predicted.covs
+    q, m_cond, p_cond = _kalman(m, p, term.projection, term.cov, centers)
+    w_cond = term.weight * w[:, None] * q
+    w_missed = _missed_weights(w, w_cond, term.evaluate(m, centers))
+    z = measurements.points
+    qz, m_det, p2 = _kalman(m_cond, p_cond, meas.observation, meas.noise, z)
+    w_det = _detection_weights(w_cond[..., None] * qz, clutter_intensity(meas, z))
+    return CenteredUpdates(
+        predicted,
+        w_missed.T,
+        np.transpose(w_det, (1, 2, 0)),
+        np.transpose(m_det, (1, 2, 0, 3)),
+        p2,
+    )
 
 
 def extract_states(intensity: GaussianMixture, threshold: float = 0.5) -> PointPattern:

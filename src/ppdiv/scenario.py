@@ -67,6 +67,14 @@ def _number(value, kind, test, requirement):
     return number
 
 
+def _step(name, value, test, requirement) -> int:
+    """A TruthTarget step: ``_number``'s whole-number rule, with the step named."""
+    try:
+        return _number(value, int, test, requirement)
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise type(exc)(f"{name} {exc}") from None
+
+
 _POSITIVE = (lambda v: 0.0 < v < math.inf, "finite and > 0")
 _NONNEGATIVE = (lambda v: 0.0 <= v < math.inf, "finite and >= 0")
 
@@ -168,15 +176,11 @@ class TruthTarget:
     state: np.ndarray
 
     def __post_init__(self):
-        birth = int(self.birth_step)
-        if birth < 0:
-            raise ValueError(f"birth_step must be >= 0, got {birth}")
+        birth = _step("birth_step", self.birth_step, lambda v: v >= 0, ">= 0")
         object.__setattr__(self, "birth_step", birth)
         death = self.death_step
         if death is not None:
-            death = int(death)
-            if death <= birth:
-                raise ValueError(f"death_step {death} must exceed birth_step {birth}")
+            death = _step("death_step", death, lambda v: v > birth, f"> birth_step {birth}")
         object.__setattr__(self, "death_step", death)
         state = np.array(self.state, dtype=float).reshape(-1)
         if not np.all(np.isfinite(state)):

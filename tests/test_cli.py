@@ -86,6 +86,14 @@ def test_bad_inputs_exit_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("dim", [None, 2.7], ids=["null", "non-integral"])
+def test_malformed_mixture_dim_exits_two(tmp_path, capsys, dim):
+    doc = tmp_path / "m.json"
+    doc.write_text(json.dumps({"dim": dim, "components": []}))
+    assert main(["divergence", "--a", str(doc), "--b", str(doc)]) == 2
+    assert f"dim must be a whole number, got {dim!r}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("policy", ["cs", "stay"])
 def test_sensor_start_outside_area_exits_two(tmp_path, capsys, policy):
     cfg = tmp_path / "outside.json"
@@ -121,8 +129,16 @@ def test_bad_covariance_exits_two_naming_the_field(tmp_path, capsys, field, valu
         {"spawn_terms": 5},
         {"truth_script": [1]},
         {"horizon": 2.9},
+        {"truth_script": [{"birth_step": 1.5, "state": [1.0, 1.0, 0.0, 0.0]}]},
     ],
-    ids=["null-number", "string-matrix", "non-list", "bad-list-item", "non-integral"],
+    ids=[
+        "null-number",
+        "string-matrix",
+        "non-list",
+        "bad-list-item",
+        "non-integral",
+        "non-integral-item",
+    ],
 )
 def test_malformed_field_exits_two_naming_it(tmp_path, capsys, doc):
     (name,) = doc

@@ -265,6 +265,10 @@ def test_list_items_are_named_by_index():
     state = [0.0, 0.0, 0.0, 0.0]
     with pytest.raises(ConfigError, match=r"^truth_script\[1\]: missing key 'state'$"):
         config_from_dict({"truth_script": [{"birth_step": 1, "state": state}, {"birth_step": 2}]})
+    with pytest.raises(
+        ConfigError, match=r"^truth_script\[0\]: birth_step must be a whole number, got 1.5$"
+    ):
+        config_from_dict({"truth_script": [{"birth_step": 1.5, "state": state}]})
     with pytest.raises(ConfigError, match=r"^spawn_terms\[0\]: missing key 'transition'$"):
         config_from_dict({"spawn_terms": [{"weight": 0.1}]})
     with pytest.raises(ConfigError, match=r"^truth_script\[0\]: must be a TruthTarget of dimension 4$"):
