@@ -21,10 +21,12 @@ that conditions P_i on the detection term's fixed shape and then on the
 measurement noise.  The sensor position moves only weights and means.  So
 the scorer factors P_i + P_j, P_i + p2_j and p2_i + p2_j once per step and,
 per candidate, evaluates only the mean-dependent Mahalanobis terms between
-its nonzero-weight components, then assembles <u,u>, <v,v> and <u,v> with
-csd_terms as before.  ``reward`` keeps the direct route (phd_update and
-three mixture inner products per position): it is the reference the scorer
-is tested against.
+its nonzero-weight components, then assembles <v,v> and <u,v> and passes
+them to csd_terms.  <u,u> = w' G w comes once per step from the predicted
+Gram G_ij = N(m_i; m_j, P_i + P_j).  G and the factors of p2_i + p2_j are
+exactly symmetric in i and j, so each is evaluated on one triangle.
+``reward`` keeps the direct route (phd_update and three mixture inner
+products per position): it is the reference the scorer is tested against.
 """
 
 from __future__ import annotations
@@ -38,9 +40,9 @@ from .divergence import csd_terms
 from .gaussmix import (
     GaussianMixture,
     gauss_factor,
+    log_gauss,
     log_gauss_factored,
     mixture_inner,
-    pairwise_log_inner,
 )
 from .gmphd import MeasModel, phd_update, phd_update_at_centers
 from .pointprocess import PointPattern
@@ -99,7 +101,6 @@ def _score(
     z_star: PointPattern,
     positions: np.ndarray,
     cfg: ScenarioConfig,
-    inner_pred: float,
 ) -> tuple[np.ndarray, list[GaussianMixture | None]]:
     """Rewards and posterior previews of every candidate position.
 
@@ -125,9 +126,15 @@ def _score(
     p2 = update.covs[keep]
     # Pair tables fixed for the step: N(m_i; m_j, P_i + P_j), and the factors
     # of P_i + p2_j (predicted by detection) and p2_i + p2_j (detection pairs).
-    g_pp = np.exp(pairwise_log_inner(m, p, m, p))
+    # The first and last are exactly symmetric in i and j, so they are
+    # evaluated on one triangle, packed, and ``tri`` maps (i, j) into it.
+    a, b = np.triu_indices(w.size)
+    tri = np.empty((w.size, w.size), dtype=np.intp)
+    tri[a, b] = tri[b, a] = np.arange(a.size)
+    g_pp = np.exp(log_gauss(m[a] - m[b], p[a] + p[b]))[tri]
     f_pd = gauss_factor(p[:, None] + p2[None, :])
-    f_dd = gauss_factor(p2[:, None] + p2[None, :])
+    f_dd = gauss_factor(p2[a] + p2[b])
+    uu = float(w @ g_pp @ w)
     for t, index in enumerate(inside):
         previews[index] = update.posterior(t)
         w_missed = update.missed[t][keep]
@@ -141,17 +148,17 @@ def _score(
             g_pd = np.exp(
                 log_gauss_factored(m[:, None] - md[None], (f_pd[0][:, dj], f_pd[1][:, dj]))
             )
-            # The detection-pair table is symmetric: evaluate one triangle.
-            a, b = np.triu_indices(dj.size)
-            pair = (dj[a], dj[b])
+            # The detection-pair table is symmetric too: one triangle again.
+            da, db = np.triu_indices(dj.size)
+            pair = tri[dj[da], dj[db]]
             g_dd = np.empty((dj.size, dj.size))
-            g_dd[a, b] = g_dd[b, a] = np.exp(
-                log_gauss_factored(md[a] - md[b], (f_dd[0][pair], f_dd[1][pair]))
+            g_dd[da, db] = g_dd[db, da] = np.exp(
+                log_gauss_factored(md[da] - md[db], (f_dd[0][pair], f_dd[1][pair]))
             )
             g_post = np.block([[g_pp[np.ix_(im, im)], g_pd[im]], [g_pd[im].T, g_dd]])
             vv = float(w_post @ g_post @ w_post)
             uv = float(w @ np.concatenate([g_pp[:, im], g_pd], axis=1) @ w_post)
-        rewards[index] = csd_terms(1.0, inner_pred, vv, uv)
+        rewards[index] = csd_terms(1.0, uu, vv, uv)
     return rewards, previews
 
 
@@ -160,10 +167,9 @@ def _evaluate_candidate(
     predicted: GaussianMixture,
     z_star: PointPattern,
     cfg: ScenarioConfig,
-    inner_pred: float,
 ) -> tuple[float, GaussianMixture | None]:
     """(reward, posterior preview) of one candidate position."""
-    rewards, previews = _score(predicted, z_star, position, cfg, inner_pred)
+    rewards, previews = _score(predicted, z_star, position, cfg)
     return float(rewards[0]), previews[0]
 
 
@@ -205,9 +211,7 @@ def select_action(
     """
     candidates = action_positions(s_prev, cfg)
     z_star = ideal_measurements(predicted, cfg.observation, cfg.extraction_threshold)
-    rewards, previews = _score(
-        predicted, z_star, candidates, cfg, mixture_inner(predicted, predicted)
-    )
+    rewards, previews = _score(predicted, z_star, candidates, cfg)
     evaluations = [
         ActionEvaluation(idx, position, value, preview)
         for idx, (position, value, preview) in enumerate(zip(candidates, rewards, previews))

@@ -70,8 +70,10 @@ def _spd(c: np.ndarray) -> np.ndarray:
     return c
 
 
-def _validate_cov(cov, dim: int | None = None) -> np.ndarray:
-    """Return a symmetrized, read-only copy of ``cov`` or raise ValueError."""
+def validate_cov(cov, dim: int | None = None) -> np.ndarray:
+    """Return a symmetrized, read-only copy of the covariance matrix ``cov``,
+    or raise ValueError unless it is square (of size ``dim`` when given),
+    finite, symmetric and positive definite."""
     c = np.array(cov, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise ValueError(f"covariance must be a square matrix, got shape {c.shape}")
@@ -94,7 +96,7 @@ class Gaussian:
         if not np.all(np.isfinite(mean)):
             raise ValueError("mean has non-finite entries")
         object.__setattr__(self, "mean", _frozen(mean))
-        object.__setattr__(self, "cov", _validate_cov(self.cov, mean.size))
+        object.__setattr__(self, "cov", validate_cov(self.cov, mean.size))
 
     @property
     def dim(self) -> int:
@@ -368,17 +370,28 @@ def prune_merge(
     """Standard mixture reduction: truncate, greedily merge, cap.
 
     Components with weight < truncation_threshold are dropped.  Then,
-    repeatedly, the heaviest remaining component absorbs every remaining
-    component within squared Mahalanobis distance merge_threshold of its mean
-    (measured in each candidate's own covariance); the group is replaced by
-    its moment-matched Gaussian.  Finally only the max_components heaviest
-    merged components are kept.  Total mass is preserved by merging but not
-    by truncation or the cap.
+    repeatedly, the heaviest remaining component (the earliest among equal
+    weights) absorbs every remaining component i whose mean lies within
+    merge_threshold of its own, (m_i - m_j)' P_i^-1 (m_i - m_j) <= U in the
+    candidate's own covariance; the group is replaced by its moment-matched
+    Gaussian.  Finally only the max_components heaviest merged components are
+    kept.  Total mass is preserved by merging but not by truncation or the cap.
+
+    The pivots are taken in stable descending-weight order, skipping those
+    already absorbed.  The merge gate is evaluated as a table, one row per
+    upcoming pivot and one column per component still remaining, from the
+    Cholesky factors of the kept covariances; the greedy loop only indexes
+    it.  The rows are built in blocks of max(1, 2**16 // n) pivots, so the
+    table and its (rows, n, d) intermediates hold about max(2**16, n) d
+    floats however many components come in, never n^2 d; rows of pivots
+    absorbed by an earlier pivot of their own block are wasted work.
     """
-    if max_components < 0:
-        raise ValueError("max_components must be >= 0")
-    if merge_threshold < 0.0:
-        raise ValueError("merge_threshold must be >= 0")
+    if not truncation_threshold >= 0.0:
+        raise ValueError(f"truncation_threshold must be >= 0, got {truncation_threshold!r}")
+    if not merge_threshold >= 0.0:
+        raise ValueError(f"merge_threshold must be >= 0, got {merge_threshold!r}")
+    if not isinstance(max_components, numbers.Integral) or max_components < 0:
+        raise ValueError(f"max_components must be a whole number >= 0, got {max_components!r}")
     keep = u.weights >= truncation_threshold
     w = u.weights[keep]
     m = u.means[keep]
@@ -387,33 +400,43 @@ def prune_merge(
     out_w: list[float] = []
     out_m: list[np.ndarray] = []
     out_c: list[np.ndarray] = []
-    remaining = np.ones(w.size, dtype=bool)
-    while remaining.any():
-        idx = np.flatnonzero(remaining)
-        j = idx[np.argmax(w[idx])]
-        group = idx[_maha(chol[idx], m[idx] - m[j]) <= merge_threshold]
-        remaining[group] = False
-        if group.size == 1:
-            out_w.append(float(w[j]))
-            out_m.append(m[j])
-            out_c.append(c[j])
+    n = w.size
+    order = np.argsort(-w, kind="stable")
+    remaining = np.ones(n, dtype=bool)
+    rows = max(1, 65_536 // max(n, 1))
+    for lo in range(0, n, rows):
+        pivots = order[lo : lo + rows]
+        pivots = pivots[remaining[pivots]]
+        if pivots.size == 0:
             continue
-        wg = w[group]
-        total = float(wg.sum())
-        if total <= 0.0:
-            # All-zero-weight group: moment matching is undefined, keep the pivot.
-            out_w.append(0.0)
-            out_m.append(m[j])
-            out_c.append(c[j])
-            continue
-        mean = (wg[:, None] * m[group]).sum(axis=0) / total
-        dev = m[group] - mean
-        cov = (
-            wg[:, None, None] * (c[group] + dev[:, :, None] * dev[:, None, :])
-        ).sum(axis=0) / total
-        out_w.append(total)
-        out_m.append(mean)
-        out_c.append(cov)
+        cols = np.flatnonzero(remaining)
+        gate = _maha(chol[cols], m[cols] - m[pivots][:, None]) <= merge_threshold
+        for j, near in zip(pivots, gate):
+            if not remaining[j]:
+                continue
+            group = cols[near & remaining[cols]]
+            remaining[group] = False
+            if group.size == 1:
+                out_w.append(float(w[j]))
+                out_m.append(m[j])
+                out_c.append(c[j])
+                continue
+            wg = w[group]
+            total = float(wg.sum())
+            if total <= 0.0:
+                # All-zero-weight group: moment matching is undefined, keep the pivot.
+                out_w.append(0.0)
+                out_m.append(m[j])
+                out_c.append(c[j])
+                continue
+            mean = (wg[:, None] * m[group]).sum(axis=0) / total
+            dev = m[group] - mean
+            cov = (
+                wg[:, None, None] * (c[group] + dev[:, :, None] * dev[:, None, :])
+            ).sum(axis=0) / total
+            out_w.append(total)
+            out_m.append(mean)
+            out_c.append(cov)
     if not out_w:
         return GaussianMixture.empty(u.dim)
     ww = np.array(out_w)

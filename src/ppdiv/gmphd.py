@@ -26,12 +26,13 @@ nonnegative.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gaussmix import GaussianMixture, _validate_cov, log_gauss
+from .gaussmix import GaussianMixture, log_gauss, validate_cov
 from .pointprocess import PointPattern
 
 _EPS_MASS = 1e-12
@@ -158,7 +159,7 @@ class MeasModel:
     def __post_init__(self):
         h = _validate_matrix("observation", self.observation)
         object.__setattr__(self, "observation", h)
-        object.__setattr__(self, "noise", _validate_cov(self.noise, h.shape[0]))
+        object.__setattr__(self, "noise", validate_cov(self.noise, h.shape[0]))
         rate = float(self.clutter_rate)
         if not (rate >= 0.0 and math.isfinite(rate)):
             raise ValueError(f"clutter_rate must be finite and >= 0, got {rate!r}")
@@ -193,6 +194,14 @@ def clutter_intensity(meas: MeasModel, zs: np.ndarray) -> np.ndarray:
     return np.where(inside, meas.clutter_rate, 0.0)
 
 
+def _term_center(value) -> np.ndarray:
+    c = np.array(value, dtype=float).reshape(-1)
+    if not np.all(np.isfinite(c)):
+        raise ValueError("detection term center has non-finite entries")
+    c.setflags(write=False)
+    return c
+
+
 @dataclass(frozen=True)
 class DetectionTerm:
     """One Gaussian detection term w * N(D x; c, S)."""
@@ -207,12 +216,9 @@ class DetectionTerm:
         if not (w >= 0.0 and math.isfinite(w)):
             raise ValueError(f"detection term weight must be finite and >= 0, got {w!r}")
         object.__setattr__(self, "weight", w)
-        c = np.array(self.center, dtype=float).reshape(-1)
-        if not np.all(np.isfinite(c)):
-            raise ValueError("detection term center has non-finite entries")
-        c.setflags(write=False)
+        c = _term_center(self.center)
         object.__setattr__(self, "center", c)
-        object.__setattr__(self, "cov", _validate_cov(self.cov, c.size))
+        object.__setattr__(self, "cov", validate_cov(self.cov, c.size))
         d = _validate_matrix("detection projection", self.projection)
         if d.shape[0] != c.size:
             raise ValueError(
@@ -223,6 +229,18 @@ class DetectionTerm:
     @property
     def state_dim(self) -> int:
         return self.projection.shape[1]
+
+    def at(self, center) -> "DetectionTerm":
+        """This term moved to ``center``: only the new center is checked, the
+        weight, covariance and projection are this term's, already checked."""
+        c = _term_center(center)
+        if c.size != self.center.size:
+            raise ValueError(
+                f"projection rows {self.center.size} do not match center dimension {c.size}"
+            )
+        term = copy.copy(self)
+        object.__setattr__(term, "center", c)
+        return term
 
     def evaluate(self, states: np.ndarray, centers: np.ndarray | None = None) -> np.ndarray:
         """w N(D x; c, S) at each state row, shape (n,); with ``centers``
@@ -271,6 +289,17 @@ class DetectionProfile:
                 raise ValueError(
                     f"detection probability reaches {values.max():.6g} > 1 at a probe point"
                 )
+
+    @classmethod
+    def trusted(cls, constant: float, terms: tuple) -> "DetectionProfile":
+        """Profile over a float constant in [0, 1] and a tuple of
+        DetectionTerms of one state dimension that are known to keep p_D <= 1,
+        such as one term whose weight is 1/N(0; 0, S).  Nothing is checked or
+        probed; anything else goes through the constructor."""
+        profile = cls.__new__(cls)
+        object.__setattr__(profile, "constant", constant)
+        object.__setattr__(profile, "terms", terms)
+        return profile
 
     def evaluate(self, states: np.ndarray) -> np.ndarray:
         """p_D at each state row; shape (n,)."""

@@ -257,6 +257,10 @@ class ScenarioConfig:
         _field("meas_noise", MeasModel, h, self.meas_noise)
         put("detection_shape", _matrix, _DETECTION_SHAPE, (m, m))
         _field("detection_shape", DetectionTerm, 1.0, np.zeros(m), self.detection_shape, h)
+        # p_D's one term, centred at the origin; detection_profile moves it.
+        peak = float(np.exp(-log_gauss(np.zeros(m), self.detection_shape)))
+        term = _field("detection_shape", DetectionTerm, peak, np.zeros(m), self.detection_shape, h)
+        object.__setattr__(self, "_detection_term", term)
         put("area", _area, m)
         put("sensor_start", _sensor_start, self)
 
@@ -303,12 +307,11 @@ def detection_profile(cfg: ScenarioConfig, sensor_pos) -> DetectionProfile:
     """Detection probability peaking at 1 where Hx equals the sensor position.
 
     One Gaussian term with weight 1/N(0; 0, S), center at the sensor, shape
-    S, projected through the observation matrix.
+    S, projected through the observation matrix.  That weight keeps p_D <= 1
+    by construction, so the term, checked once with the config, is only
+    moved here and the profile is not probed.
     """
-    sensor_pos = np.asarray(sensor_pos, dtype=float).reshape(-1)
-    peak = float(np.exp(-log_gauss(np.zeros(cfg.meas_dim), cfg.detection_shape)))
-    term = DetectionTerm(peak, sensor_pos, cfg.detection_shape, cfg.observation)
-    return DetectionProfile(0.0, (term,))
+    return DetectionProfile.trusted(0.0, (cfg._detection_term.at(sensor_pos),))
 
 
 def detection_probability(x, sensor_pos, cfg: ScenarioConfig) -> float:

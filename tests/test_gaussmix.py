@@ -228,6 +228,24 @@ def test_prune_merge_caps_and_preserves_mass():
     assert mixture_mass(out2) == pytest.approx(mixture_mass(u), rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        ((float("nan"), 4.0, 10), "truncation_threshold"),
+        ((1e-5, float("nan"), 10), "merge_threshold"),
+        ((1e-5, -1.0, 10), "merge_threshold"),
+        ((1e-5, 4.0, 1.5), "max_components"),
+        ((1e-5, 4.0, -1), "max_components"),
+    ],
+)
+def test_prune_merge_rejects_bad_arguments_by_name(args, name):
+    # A NaN merge gate used to loop forever and a NaN truncation threshold
+    # to return an empty mixture.
+    u = random_mixture(RngStream(44), 2, 20, 5.0)
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        prune_merge(u, *args)
+
+
 def test_zero_weight_components_contribute_nothing():
     base = GaussianMixture([1.0], np.zeros((1, 1)), np.eye(1)[None])
     padded = GaussianMixture(

@@ -1,18 +1,24 @@
 """Property-based checks of the closed-form Cauchy-Schwarz divergence on
-small random Gaussian-mixture intensities in d = 1-3, and of the look-ahead
-scorer's factored reward on random predicted intensities in d = 4.
+small random Gaussian-mixture intensities in d = 1-3, of the look-ahead
+scorer's factored reward on random predicted intensities in d = 4, of
+prune_merge against a one-pivot-at-a-time reference, and of phd_update's
+missed-detection mass.
 
 Examples are derandomized and bounded, so a failure reproduces and the run
 time stays fixed.  Rounding is judged against <u,u> + <v,v>, the size of the
 terms whose difference D_CS = (k/2) ||u - v||^2 is.
 """
 
+import math
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ppdiv import (
+    DetectionProfile,
+    DetectionTerm,
     GaussianMixture,
     HyperVolumeUnit,
     PointPattern,
@@ -23,10 +29,11 @@ from ppdiv import (
     detection_profile,
     ideal_measurements,
     phd_update,
+    prune_merge,
     reward,
 )
 from ppdiv.control import _evaluate_candidate, _score, planning_meas_model
-from ppdiv.gaussmix import mixture_inner
+from ppdiv.gaussmix import _maha, mixture_inner
 
 properties = settings(derandomize=True, max_examples=50, deadline=None, database=None)
 ROUNDING = 1e-12
@@ -133,12 +140,11 @@ def test_factored_reward_matches_direct_update(predicted, sensor):
     # The action grid around the sensor, plus one candidate surely outside.
     positions = np.concatenate([action_positions(sensor, DESK), [[-1.0, 500.0]]])
     meas = planning_meas_model(DESK)
-    inner_pred = mixture_inner(predicted, predicted)
     for z_star in (
         ideal_measurements(predicted, DESK.observation, DESK.extraction_threshold),
         PointPattern(np.zeros((0, 2)), dim=2),
     ):
-        rewards, previews = _score(predicted, z_star, positions, DESK, inner_pred)
+        rewards, previews = _score(predicted, z_star, positions, DESK)
         assert rewards[-1] == -np.inf and previews[-1] is None
         for position, value, preview in zip(positions, rewards, previews):
             want = reward(position, predicted, z_star, DESK)
@@ -149,6 +155,159 @@ def test_factored_reward_matches_direct_update(predicted, sensor):
             assert_same_mixture(preview, posterior)
             assert abs(value - want) <= ROUNDING * scale(predicted, posterior)
         # The one-position path of the random and stay policies.
-        one, preview = _evaluate_candidate(positions[0], predicted, z_star, DESK, inner_pred)
+        one, preview = _evaluate_candidate(positions[0], predicted, z_star, DESK)
         assert_same_mixture(preview, previews[0])
         assert abs(one - rewards[0]) <= ROUNDING * scale(predicted, preview)
+
+
+# ---------------------------------------------------------------------------
+# prune_merge
+
+
+def greedy_reference(u, truncation, gate, cap):
+    """prune_merge one pivot at a time: the heaviest remaining component, the
+    earliest among equal weights, absorbs every remaining component that
+    passes its gate, each gate evaluated when its pivot comes up."""
+    keep = u.weights >= truncation
+    w, m, c = u.weights[keep], u.means[keep], u.covs[keep]
+    chol = np.linalg.cholesky(c)
+    out = []
+    remaining = np.ones(w.size, dtype=bool)
+    while remaining.any():
+        idx = np.flatnonzero(remaining)
+        j = idx[np.argmax(w[idx])]
+        group = idx[_maha(chol[idx], m[idx] - m[j]) <= gate]
+        remaining[group] = False
+        wg = w[group]
+        total = float(wg.sum())
+        if group.size == 1 or total <= 0.0:
+            out.append((float(w[j]) if group.size == 1 else 0.0, m[j], c[j]))
+            continue
+        mean = (wg[:, None] * m[group]).sum(axis=0) / total
+        dev = m[group] - mean
+        cov = (wg[:, None, None] * (c[group] + dev[:, :, None] * dev[:, None, :])).sum(
+            axis=0
+        ) / total
+        out.append((total, mean, cov))
+    if not out:
+        return GaussianMixture.empty(u.dim)
+    ww = np.array([o[0] for o in out])
+    order = np.sort(np.argsort(-ww, kind="stable")[:cap])
+    return GaussianMixture.trusted(
+        ww[order], np.stack([o[1] for o in out])[order], np.stack([o[2] for o in out])[order]
+    )
+
+
+@st.composite
+def reducible_mixtures(draw):
+    """0-12 components in d = 1-4 whose means sit within a few standard
+    deviations of each other, so that merge gates open; the weights often
+    come from a few shared values, so that pivots tie."""
+    dim = draw(st.integers(1, 4))
+    n = draw(st.integers(0, 12))
+    shared = st.sampled_from([0.0, 1e-6, 0.25, 1.0])
+    weights = draw(arrays(float, n, elements=shared | st.floats(0.0, 2.0)))
+    means = draw(arrays(float, (n, dim), elements=st.floats(-4.0, 4.0)))
+    factors = draw(arrays(float, (n, dim, dim), elements=st.floats(-1.0, 1.0)))
+    covs = factors @ np.swapaxes(factors, -1, -2) + 0.2 * np.eye(dim)
+    return GaussianMixture(weights, means, covs)
+
+
+def clustered_mixture(n, dim, clusters, seed):
+    """n components around ``clusters`` centres, with tied weights."""
+    gen = np.random.default_rng(seed)
+    centres = gen.uniform(-100.0, 100.0, (clusters, dim))
+    means = centres[gen.integers(clusters, size=n)] + gen.normal(0.0, 1.5, (n, dim))
+    factors = gen.uniform(-1.0, 1.0, (n, dim, dim))
+    covs = factors @ np.swapaxes(factors, -1, -2) + 0.5 * np.eye(dim)
+    weights = gen.choice([0.05, 0.2, 0.5, 1.0], n) * gen.choice([1.0, 1.0, 1.1], n)
+    return GaussianMixture(weights, means, covs)
+
+
+def assert_identical_mixture(got, want):
+    for a, b in ((got.weights, want.weights), (got.means, want.means), (got.covs, want.covs)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@properties
+@given(
+    reducible_mixtures(),
+    st.sampled_from([0.0, 1e-5, 0.3]),
+    st.sampled_from([0.0, 1.0, 4.0]) | st.floats(0.0, 50.0),
+    st.integers(0, 14),
+)
+# More components than one block of gate rows takes, so that pivots are
+# absorbed both within their own block and by earlier ones.
+@example(clustered_mixture(6000, 2, 700, seed=5), 1e-5, 4.0, 100)
+@example(clustered_mixture(5000, 4, 50, seed=6), 0.0, 9.0, 5000)
+def test_prune_merge_matches_one_pivot_at_a_time(u, truncation, gate, cap):
+    assert_identical_mixture(
+        prune_merge(u, truncation, gate, cap), greedy_reference(u, truncation, gate, cap)
+    )
+
+
+@properties
+@given(reducible_mixtures(), st.sampled_from([0.0, 1.0, 4.0]) | st.floats(0.0, 50.0))
+def test_prune_merge_preserves_mass_when_it_only_merges(u, gate):
+    out = prune_merge(u, 0.0, gate, len(u))
+    assert len(out) <= len(u)
+    mass = float(u.weights.sum())
+    assert abs(float(out.weights.sum()) - mass) <= ROUNDING * mass
+
+
+# ---------------------------------------------------------------------------
+# phd_update's missed-detection mass
+
+
+def gauss_density(x, mean, cov):
+    """N(x; mean, cov) by a direct solve and determinant."""
+    r = x - mean
+    quad = float(r @ np.linalg.solve(cov, r))
+    return math.exp(-0.5 * quad) / math.sqrt(np.linalg.det(2.0 * math.pi * cov))
+
+
+@st.composite
+def update_inputs(draw):
+    """A 4-d predicted intensity, a profile of a constant and 0-2 position
+    terms whose peaks add up to at most 1, and 0-3 measurements."""
+    predicted = draw(predicted_intensities())
+    constant = draw(st.floats(0.0, 0.5))
+    n_terms = draw(st.integers(0, 2))
+    shares = draw(arrays(float, n_terms, elements=st.floats(0.0, 1.0)))
+    centres = draw(arrays(float, (n_terms, 2), elements=st.floats(0.0, 1000.0)))
+    sigmas = draw(arrays(float, n_terms, elements=st.floats(5.0, 500.0)))
+    h = DESK.observation
+    terms = []
+    for share, centre, sigma in zip(shares, centres, sigmas):
+        shape = sigma**2 * np.eye(2)
+        peak = 1.0 / gauss_density(np.zeros(2), np.zeros(2), shape)
+        terms.append(DetectionTerm((1.0 - constant) / n_terms * share * peak, centre, shape, h))
+    zs = draw(arrays(float, (draw(st.integers(0, 3)), 2), elements=st.floats(0.0, 1000.0)))
+    return predicted, DetectionProfile(constant, tuple(terms)), PointPattern(zs, dim=2)
+
+
+@properties
+@given(update_inputs())
+def test_missed_mass_is_spread_over_plug_in_missed_weights(inputs):
+    # T = mass - int u p_D, spread in proportion to (1 - p_D(m_i)) w_i.
+    predicted, profile, zs = inputs
+    posterior = phd_update(predicted, zs, profile, planning_meas_model(DESK))
+    missed = posterior.weights[: len(predicted)]
+    w, m, p = predicted.weights, predicted.means, predicted.covs
+    mass = float(w.sum())
+    detected = profile.constant * mass
+    pd = np.full(len(w), profile.constant)
+    for term in profile.terms:
+        d = term.projection
+        for i in range(len(w)):
+            y = d @ m[i]
+            detected += term.weight * w[i] * gauss_density(term.center, y, d @ p[i] @ d.T + term.cov)
+            pd[i] += term.weight * gauss_density(y, term.center, term.cov)
+    t_mass = max(mass - detected, 0.0)
+    plug_in = np.maximum(1.0 - pd, 0.0) * w
+    if t_mass <= 1e-12 or plug_in.sum() <= 1e-12:
+        assert np.all(missed <= 1e-9 * max(1.0, mass))
+        return
+    assert np.all(missed >= 0.0)
+    assert abs(float(missed.sum()) - t_mass) <= 1e-10 * max(1.0, mass)
+    assert np.allclose(missed, plug_in * (t_mass / plug_in.sum()), rtol=1e-9, atol=1e-12)

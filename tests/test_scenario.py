@@ -9,6 +9,8 @@ import scipy.stats
 
 from ppdiv import (
     ConfigError,
+    DetectionProfile,
+    DetectionTerm,
     ScenarioConfig,
     TruthState,
     TruthTarget,
@@ -21,6 +23,7 @@ from ppdiv import (
     load_config,
     step_truth,
 )
+from ppdiv.gaussmix import log_gauss
 from ppdiv.pointprocess import RngStream
 from ppdiv.scenario import in_area
 
@@ -119,6 +122,25 @@ def test_detection_profile_matches_pointwise_probability():
     batch = profile.evaluate(states)
     for x, val in zip(states, batch):
         assert detection_probability(x, sensor, cfg) == pytest.approx(val, rel=1e-14)
+
+
+def test_detection_profile_equals_the_checked_construction():
+    # The scenario moves one term checked with the config instead of
+    # building and probing a profile per call; the result is the same.
+    cfg = ScenarioConfig(detection_shape=[[400.0, 30.0], [30.0, 900.0]])
+    sensor = [310.0, 420.0]
+    peak = float(np.exp(-log_gauss(np.zeros(2), cfg.detection_shape)))
+    term = DetectionTerm(peak, sensor, cfg.detection_shape, cfg.observation)
+    want = DetectionProfile(0.0, (term,))
+    got = detection_profile(cfg, sensor)
+    assert got.constant == want.constant and len(got.terms) == 1
+    for field in ("weight", "center", "cov", "projection"):
+        a, b = np.asarray(getattr(got.terms[0], field)), np.asarray(getattr(term, field))
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    with pytest.raises(ValueError, match="non-finite"):
+        detection_profile(cfg, [np.nan, 0.0])
+    with pytest.raises(ValueError, match="center dimension 3"):
+        detection_profile(cfg, [1.0, 2.0, 3.0])
 
 
 def test_measurements_ideal_sensor():
