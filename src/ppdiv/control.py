@@ -6,7 +6,10 @@ result from updating against the ideal measurement set Z* (the projected
 means of confidently-detected predicted components, with no noise and no
 clutter).  Moving toward targets raises their detection probability, which
 makes the hypothetical update more informative and the divergence larger, so
-the argmax chases information.
+the argmax chases information.  The update reads two models the config built
+once: ``cfg.detection_term``, p_D's term moved to each candidate, and
+``cfg.planning_model``, the sensor with the whole scan's clutter mass as its
+rate (ScenarioConfig says why).
 
 Out-of-area candidates score -inf and can never win; ties go to the earliest
 candidate in grid order (stay put, then increasing ring radius, then
@@ -44,7 +47,7 @@ from .gaussmix import (
     log_gauss_factored,
     mixture_inner,
 )
-from .gmphd import MeasModel, phd_update, phd_update_at_centers
+from .gmphd import phd_update, phd_update_at_centers
 from .pointprocess import PointPattern
 from .scenario import (
     ScenarioConfig,
@@ -82,20 +85,6 @@ def ideal_measurements(
     return PointPattern(predicted.means[keep] @ observation.T, dim=observation.shape[0])
 
 
-def planning_meas_model(cfg: ScenarioConfig) -> MeasModel:
-    """Measurement model for the hypothetical update behind the reward.
-
-    Ideal measurements carry no origin information, so they are weighed
-    against the whole-scan clutter mass instead of its density.  At the
-    density, one ideal detection of a sharp track saturates the update and
-    the divergence then falls as detection probability rises, steering the
-    sensor away from its targets; at the scan mass the detections stay
-    unsaturated and the reward grows with the mass the candidate can see.
-    """
-    volume = float(np.prod(cfg.area[:, 1] - cfg.area[:, 0]))
-    return MeasModel(cfg.observation, cfg.meas_noise, cfg.clutter_rate * volume, None)
-
-
 def _score(
     predicted: GaussianMixture,
     z_star: PointPattern,
@@ -116,9 +105,8 @@ def _score(
     inside = np.flatnonzero([in_area(p, cfg) for p in positions])
     if inside.size == 0:
         return rewards, previews
-    (term,) = detection_profile(cfg, positions[inside[0]]).terms
     update = phd_update_at_centers(
-        predicted, z_star, term, positions[inside], planning_meas_model(cfg)
+        predicted, z_star, cfg.detection_term, positions[inside], cfg.planning_model
     )
     # Zero-weight predicted components carry zero weight into every block.
     keep = predicted.weights > 0.0
@@ -185,8 +173,9 @@ def reward(
     position = np.asarray(position, dtype=float).reshape(-1)
     if not in_area(position, cfg):
         return -math.inf
-    profile = detection_profile(cfg, position)
-    posterior = phd_update(predicted, z_star, profile, planning_meas_model(cfg))
+    posterior = phd_update(
+        predicted, z_star, detection_profile(cfg, position), cfg.planning_model
+    )
     return csd_terms(
         1.0,
         mixture_inner(predicted, predicted),

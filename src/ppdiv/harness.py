@@ -34,15 +34,11 @@ from .scenario import (
     ScenarioConfig,
     TruthState,
     action_positions,
-    birth_model,
     config_from_dict,
     config_to_dict,
     detection_profile,
     generate_measurements,
     in_area,
-    meas_model,
-    motion_model,
-    ospa_params,
     step_truth,
 )
 
@@ -127,10 +123,6 @@ def run_simulation(
     clutter_rng = base.child(_STREAM_CLUTTER)
     policy_rng = base.child(_STREAM_POLICY)
 
-    motion = motion_model(cfg)
-    births = birth_model(cfg)
-    sensor_model = meas_model(cfg)
-    params = ospa_params(cfg)
     h = cfg.observation
 
     truth = TruthState.empty(cfg.state_dim)
@@ -139,13 +131,13 @@ def run_simulation(
     records = []
     for k in range(1, cfg.horizon + 1):
         truth = step_truth(truth, cfg, truth_rng, k)
-        predicted = phd_predict(posterior, motion, births)
+        predicted = phd_predict(posterior, cfg.motion, cfg.births)
         sensor, action_index, chosen_reward = _choose_position(
             policy, predicted, sensor, cfg, policy_rng
         )
         measurements = generate_measurements(truth, sensor, cfg, meas_rng, clutter_rng)
         posterior = phd_update(
-            predicted, measurements, detection_profile(cfg, sensor), sensor_model
+            predicted, measurements, detection_profile(cfg, sensor), cfg.sensor_model
         )
         posterior = prune_merge(
             posterior,
@@ -154,7 +146,7 @@ def run_simulation(
             cfg.max_components,
         )
         estimates = extract_states(posterior, cfg.extraction_threshold)
-        distance = ospa(truth.states @ h.T, estimates.points @ h.T, params)
+        distance = ospa(truth.states @ h.T, estimates.points @ h.T, cfg.ospa_params)
         records.append(
             StepRecord(
                 step=k,

@@ -8,12 +8,14 @@ distance between the sensor position and the target's position:
 
     p_D(x; s) = N(s; Hx, S) / N(0; 0, S) = exp(-(s - Hx)' S^-1 (s - Hx) / 2).
 
-The same profile object drives both measurement generation here and the
-PHD filter update, so there is exactly one implementation of p_D.
+The same detection term drives measurement generation here, the PHD filter
+update and the look-ahead, so there is exactly one implementation of p_D.
 
 Everything is configured through ScenarioConfig, which round-trips to a JSON
 document (see config_from_dict for the schema); defaults reproduce the
-standard desk scenario on a 1000 m x 1000 m area.
+standard desk scenario on a 1000 m x 1000 m area.  The config checks its
+fields once and keeps the filter models it checked them with, so no run or
+step builds a model again.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
-from .gaussmix import GaussianMixture, log_gauss, mixture_from_dict, mixture_to_dict
+from .gaussmix import GaussianMixture, log_gauss, mixture_from_dict, mixture_to_dict, validate_cov
 from .gmphd import (
     BirthSpawnModel,
     DetectionProfile,
@@ -110,8 +112,8 @@ def _matrix(value, default, shape) -> np.ndarray:
     return arr
 
 
-def _area(value, m: int) -> np.ndarray:
-    area = _matrix(value, None, (m, 2))
+def _area(value) -> np.ndarray:
+    area = _matrix(value, None, (2, 2))
     if np.any(area[:, 0] >= area[:, 1]):
         raise ValueError("rows must be [low, high] with low < high")
     return area
@@ -200,14 +202,31 @@ def _default_truth_script() -> tuple:
     )
 
 
+def _detection_term(shape: np.ndarray, observation: np.ndarray) -> DetectionTerm:
+    """p_D's one term, weight 1/N(0; 0, S) so that it peaks at exactly 1,
+    centred at the origin; detection_profile moves it to the sensor."""
+    validate_cov(shape, 2)
+    peak = float(np.exp(-log_gauss(np.zeros(2), shape)))
+    return DetectionTerm(peak, np.zeros(2), shape, observation)
+
+
 @dataclass(frozen=True, eq=False)
 class ScenarioConfig:
     """Full description of one tracking-and-control experiment.
 
     Matrix fields left as None are derived from ``step_period`` (transition,
     process_noise) or set to the standard sensor model (observation,
-    meas_noise, detection_shape).  Integer fields take whole numbers only.
-    A bad field raises a ConfigError whose message starts with its name.
+    meas_noise, detection_shape).  The sensor is planar: ``observation`` has
+    two rows.  Integer fields take whole numbers only.  A bad field raises a
+    ConfigError whose message starts with its name.
+
+    Construction also builds, once, what every run reads, as read-only
+    attributes that are not fields (so the JSON document and the digest do
+    not carry them): ``motion`` and ``births`` for prediction, the filter's
+    ``sensor_model`` (clutter over ``area``), ``clutter_mass`` (expected
+    clutter points per scan), the look-ahead's ``planning_model`` (clutter
+    rate = ``clutter_mass``), ``detection_term`` (p_D's term, centred at the
+    origin) and ``ospa_params``.
     """
 
     area: np.ndarray = ((0.0, 1000.0), (0.0, 1000.0))
@@ -236,10 +255,12 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
-        def put(name, convert, *args):
-            value = _field(name, convert, getattr(self, name), *args)
+        def keep(name, value):
             object.__setattr__(self, name, value)
             return value
+
+        def put(name, convert, *args):
+            return keep(name, _field(name, convert, getattr(self, name), *args))
 
         for name, *row in _SCALARS:
             put(name, _number, *row)
@@ -248,20 +269,24 @@ class ScenarioConfig:
         d = f.shape[0]
         if f.shape != (d, d):
             raise ConfigError(f"transition: must be square, got shape {f.shape}")
-        put("process_noise", _matrix, _cv_process_noise(t), (d, d))
+        q = put("process_noise", _matrix, _cv_process_noise(t), (d, d))
         # The filter model that consumes a matrix judges it.
-        _field("process_noise", MotionModel, f, self.process_noise)
-        h = put("observation", _matrix, np.eye(2, d), (None, d))
-        m = h.shape[0]
-        put("meas_noise", _matrix, 9.0 * np.eye(m), (m, m))
-        _field("meas_noise", MeasModel, h, self.meas_noise)
-        put("detection_shape", _matrix, _DETECTION_SHAPE, (m, m))
-        _field("detection_shape", DetectionTerm, 1.0, np.zeros(m), self.detection_shape, h)
-        # p_D's one term, centred at the origin; detection_profile moves it.
-        peak = float(np.exp(-log_gauss(np.zeros(m), self.detection_shape)))
-        term = _field("detection_shape", DetectionTerm, peak, np.zeros(m), self.detection_shape, h)
-        object.__setattr__(self, "_detection_term", term)
-        put("area", _area, m)
+        keep("motion", _field("process_noise", MotionModel, f, q, self.survival_prob))
+        h = put("observation", _matrix, np.eye(2, d), (2, d))
+        area = put("area", _area)
+        r = put("meas_noise", _matrix, 9.0 * np.eye(2), (2, 2))
+        keep("sensor_model", _field("meas_noise", MeasModel, h, r, self.clutter_rate, area))
+        # Ideal measurements carry no origin information, so the look-ahead
+        # weighs them against the whole scan's clutter mass instead of its
+        # density.  At the density, one ideal detection of a sharp track
+        # saturates the update and the divergence then falls as detection
+        # probability rises, steering the sensor away from its targets; at
+        # the scan mass the detections stay unsaturated and the reward grows
+        # with the mass the candidate can see.
+        mass = keep("clutter_mass", self.clutter_rate * float(np.prod(area[:, 1] - area[:, 0])))
+        keep("planning_model", _field("clutter_rate", MeasModel, h, r, mass, None))
+        s = put("detection_shape", _matrix, _DETECTION_SHAPE, (2, 2))
+        keep("detection_term", _field("detection_shape", _detection_term, s, h))
         put("sensor_start", _sensor_start, self)
 
         if not isinstance(self.birth, GaussianMixture) or self.birth.dim != d:
@@ -273,6 +298,8 @@ class ScenarioConfig:
             for i, item in enumerate(put(name, tuple)):
                 if not isinstance(item, kind) or dim(item) != d:
                     raise ConfigError(f"{name}[{i}]: must be a {kind.__name__} of dimension {d}")
+        keep("births", BirthSpawnModel(self.birth, self.spawn_terms))
+        keep("ospa_params", OspaParams(self.ospa_order, self.ospa_cutoff))
 
     @property
     def state_dim(self) -> int:
@@ -284,23 +311,7 @@ class ScenarioConfig:
 
 
 # ---------------------------------------------------------------------------
-# model builders (the bridge from configuration to filter objects)
-
-
-def motion_model(cfg: ScenarioConfig) -> MotionModel:
-    return MotionModel(cfg.transition, cfg.process_noise, cfg.survival_prob)
-
-
-def birth_model(cfg: ScenarioConfig) -> BirthSpawnModel:
-    return BirthSpawnModel(cfg.birth, cfg.spawn_terms)
-
-
-def meas_model(cfg: ScenarioConfig) -> MeasModel:
-    return MeasModel(cfg.observation, cfg.meas_noise, cfg.clutter_rate, cfg.area)
-
-
-def ospa_params(cfg: ScenarioConfig) -> OspaParams:
-    return OspaParams(cfg.ospa_order, cfg.ospa_cutoff)
+# detection probability
 
 
 def detection_profile(cfg: ScenarioConfig, sensor_pos) -> DetectionProfile:
@@ -311,7 +322,7 @@ def detection_profile(cfg: ScenarioConfig, sensor_pos) -> DetectionProfile:
     by construction, so the term, checked once with the config, is only
     moved here and the profile is not probed.
     """
-    return DetectionProfile.trusted(0.0, (cfg._detection_term.at(sensor_pos),))
+    return DetectionProfile.trusted(0.0, (cfg.detection_term.at(sensor_pos),))
 
 
 def detection_probability(x, sensor_pos, cfg: ScenarioConfig) -> float:
@@ -411,8 +422,7 @@ def generate_measurements(
         chol = np.linalg.cholesky(cfg.meas_noise)
         detected = truth.states[hits] @ h.T + noise @ chol.T
     crng = clutter_rng if clutter_rng is not None else rng
-    volume = float(np.prod(cfg.area[:, 1] - cfg.area[:, 0]))
-    count = int(sample_poisson_counts(crng, cfg.clutter_rate * volume, 1)[0])
+    count = int(sample_poisson_counts(crng, cfg.clutter_mass, 1)[0])
     lo, hi = cfg.area[:, 0], cfg.area[:, 1]
     clutter = lo + crng.generator.random((count, cfg.meas_dim)) * (hi - lo)
     return PointPattern(np.concatenate([detected, clutter]), dim=cfg.meas_dim)

@@ -74,10 +74,8 @@ from .scenario import (
     TruthState,
     TruthTarget,
     action_positions,
-    birth_model,
     detection_probability,
     generate_measurements,
-    motion_model,
     step_truth,
 )
 
@@ -566,7 +564,7 @@ def _check_scenario_statistics(report: _Report, rng: RngStream):
 
 def _check_reward_orientation(report: _Report):
     cfg = ScenarioConfig()
-    predicted = phd_predict(GaussianMixture.empty(4), motion_model(cfg), birth_model(cfg))
+    predicted = phd_predict(GaussianMixture.empty(4), cfg.motion, cfg.births)
     z_star = PointPattern.empty(2)
     candidates = action_positions(cfg.sensor_start, cfg)
     center = np.array([500.0, 500.0])

@@ -24,12 +24,9 @@ from ppdiv.pointprocess import RngStream
 from ppdiv.scenario import (
     TruthState,
     action_positions,
-    birth_model,
     detection_profile,
     generate_measurements,
     in_area,
-    meas_model,
-    motion_model,
     step_truth,
 )
 from ppdiv.validate import policy_comparison, validate_oracles
@@ -169,8 +166,6 @@ def test_criterion_08_filter_mass_identities():
     equals missed mass plus per-measurement detection masses, each in [0, 1])
     hold to 1e-9 at every step of 20 seeded scenario runs."""
     cfg = ScenarioConfig()
-    motion, births = motion_model(cfg), birth_model(cfg)
-    sensor_model = meas_model(cfg)
     birth_mass = mixture_mass(cfg.birth)
     worst_predict = worst_update = 0.0
     n_steps = 0
@@ -183,7 +178,7 @@ def test_criterion_08_filter_mass_identities():
         sensor = cfg.sensor_start
         for k in range(1, cfg.horizon + 1):
             truth = step_truth(truth, cfg, truth_rng, k)
-            predicted = phd_predict(prior, motion, births)
+            predicted = phd_predict(prior, cfg.motion, cfg.births)
             balance = cfg.survival_prob * mixture_mass(prior) + birth_mass
             worst_predict = max(worst_predict, abs(mixture_mass(predicted) - balance))
             candidates = action_positions(sensor, cfg)
@@ -195,7 +190,7 @@ def test_criterion_08_filter_mass_identities():
             ]
             zs = generate_measurements(truth, sensor, cfg, meas_rng, clutter_rng)
             posterior = phd_update(
-                predicted, zs, detection_profile(cfg, sensor), sensor_model
+                predicted, zs, detection_profile(cfg, sensor), cfg.sensor_model
             )
             t_missed, blocks = _reference_masses(predicted, zs, sensor, cfg)
             assert np.all(blocks >= 0.0) and np.all(blocks <= 1.0 + 1e-9)

@@ -130,6 +130,21 @@ def test_bad_covariance_exits_two_naming_the_field(tmp_path, capsys, field, valu
         {"truth_script": [1]},
         {"horizon": 2.9},
         {"truth_script": [{"birth_step": 1.5, "state": [1.0, 1.0, 0.0, 0.0]}]},
+        # A non-planar sensor, with every field that depends on m to match.
+        {
+            "observation": [[1.0, 0.0, 0.0, 0.0]],
+            "meas_noise": [[9.0]],
+            "detection_shape": [[3e6]],
+            "area": [[0.0, 1000.0]],
+            "sensor_start": [250.0],
+        },
+        {
+            "observation": np.eye(3, 4).tolist(),
+            "meas_noise": (9.0 * np.eye(3)).tolist(),
+            "detection_shape": (3e6 * np.eye(3)).tolist(),
+            "area": [[0.0, 1000.0], [0.0, 1000.0], [-50.0, 50.0]],
+            "sensor_start": [250.0, 250.0, 0.0],
+        },
     ],
     ids=[
         "null-number",
@@ -138,10 +153,12 @@ def test_bad_covariance_exits_two_naming_the_field(tmp_path, capsys, field, valu
         "bad-list-item",
         "non-integral",
         "non-integral-item",
+        "one-row-observation",
+        "three-row-observation",
     ],
 )
 def test_malformed_field_exits_two_naming_it(tmp_path, capsys, doc):
-    (name,) = doc
+    name = next(iter(doc))  # the malformed field; any others only match it
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
     out = tmp_path / "o.csv"

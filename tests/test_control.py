@@ -13,7 +13,6 @@ from ppdiv import (
     reward,
     select_action,
 )
-from ppdiv.control import planning_meas_model
 
 
 def track(mean, pos_var=25.0, vel_var=4.0, weight=0.95):
@@ -53,7 +52,7 @@ def test_ideal_measurements_threshold():
 
 def test_planning_model_uses_scan_clutter_mass():
     cfg = ScenarioConfig()
-    model = planning_meas_model(cfg)
+    model = cfg.planning_model
     assert model.clutter_rate == pytest.approx(cfg.clutter_rate * 1000.0 * 1000.0)
     assert model.clutter_region is None
     assert np.allclose(model.observation, cfg.observation)

@@ -1,8 +1,9 @@
 """Property-based checks of the closed-form Cauchy-Schwarz divergence on
-small random Gaussian-mixture intensities in d = 1-3, of the look-ahead
-scorer's factored reward on random predicted intensities in d = 4, of
-prune_merge against a one-pivot-at-a-time reference, and of phd_update's
-missed-detection mass.
+small random Gaussian-mixture intensities in d = 1-3, of mixture_inner and
+csd_poisson_gm against an independent slogdet/solve double sum on
+ill-scaled 4-d covariances, of the look-ahead scorer's factored reward on
+random predicted intensities in d = 4, of prune_merge against a
+one-pivot-at-a-time reference, and of phd_update's missed-detection mass.
 
 Examples are derandomized and bounded, so a failure reproduces and the run
 time stays fixed.  Rounding is judged against <u,u> + <v,v>, the size of the
@@ -32,7 +33,7 @@ from ppdiv import (
     prune_merge,
     reward,
 )
-from ppdiv.control import _evaluate_candidate, _score, planning_meas_model
+from ppdiv.control import _evaluate_candidate, _score
 from ppdiv.gaussmix import _maha, mixture_inner
 
 properties = settings(derandomize=True, max_examples=50, deadline=None, database=None)
@@ -108,6 +109,53 @@ def test_csd_linear_in_unit(pair, k):
 
 
 # ---------------------------------------------------------------------------
+# the Gaussian kernel against an independent double sum
+
+
+def reference_inner(u, v):
+    """<u, v> = sum_ij w_i w_j N(m_i; m_j, P_i + P_j), term by term with
+    numpy's slogdet and solve, apart from gaussmix's Cholesky kernel."""
+    total = 0.0
+    for wi, mi, pi in zip(u.weights, u.means, u.covs):
+        for wj, mj, pj in zip(v.weights, v.means, v.covs):
+            c, diff = pi + pj, mi - mj
+            logdet = np.linalg.slogdet(c)[1]
+            maha = diff @ np.linalg.solve(c, diff)
+            total += wi * wj * math.exp(-0.5 * (maha + logdet + diff.size * math.log(2.0 * math.pi)))
+    return total
+
+
+@st.composite
+def ill_scaled_mixtures(draw):
+    """1-4 components in d = 4 whose covariances have standard deviations of
+    1e3 (the 1e6 variance scale of detection_shape) along some axes and O(1)
+    along the others, with means a few standard deviations from the origin."""
+    n = draw(st.integers(1, 4))
+    weights = draw(arrays(float, n, elements=st.floats(0.05, 3.0)))
+    sigmas = draw(arrays(float, (n, 4), elements=st.sampled_from([1.0, 1e3])))
+    offsets = draw(arrays(float, (n, 4), elements=st.floats(-3.0, 3.0)))
+    factors = draw(arrays(float, (n, 4, 4), elements=st.floats(-1.0, 1.0)))
+    shapes = factors @ np.swapaxes(factors, -1, -2) + 0.2 * np.eye(4)
+    covs = sigmas[:, :, None] * shapes * sigmas[:, None, :]
+    return GaussianMixture(weights, offsets * sigmas, covs)
+
+
+@properties
+@given(ill_scaled_mixtures(), ill_scaled_mixtures())
+def test_mixture_inner_matches_independent_reference(u, v):
+    for a, b in ((u, u), (u, v), (v, v)):
+        want = reference_inner(a, b)
+        assert abs(mixture_inner(a, b) - want) <= ROUNDING * want
+
+
+@properties
+@given(ill_scaled_mixtures(), ill_scaled_mixtures())
+def test_csd_matches_independent_reference(u, v):
+    uu, vv, uv = reference_inner(u, u), reference_inner(v, v), reference_inner(u, v)
+    assert abs(csd(u, v) - 0.5 * (uu + vv - 2.0 * uv)) <= ROUNDING * (uu + vv)
+
+
+# ---------------------------------------------------------------------------
 # the factored look-ahead reward
 
 DESK = ScenarioConfig()
@@ -139,7 +187,7 @@ def assert_same_mixture(got, want):
 def test_factored_reward_matches_direct_update(predicted, sensor):
     # The action grid around the sensor, plus one candidate surely outside.
     positions = np.concatenate([action_positions(sensor, DESK), [[-1.0, 500.0]]])
-    meas = planning_meas_model(DESK)
+    meas = DESK.planning_model
     for z_star in (
         ideal_measurements(predicted, DESK.observation, DESK.extraction_threshold),
         PointPattern(np.zeros((0, 2)), dim=2),
@@ -291,7 +339,7 @@ def update_inputs(draw):
 def test_missed_mass_is_spread_over_plug_in_missed_weights(inputs):
     # T = mass - int u p_D, spread in proportion to (1 - p_D(m_i)) w_i.
     predicted, profile, zs = inputs
-    posterior = phd_update(predicted, zs, profile, planning_meas_model(DESK))
+    posterior = phd_update(predicted, zs, profile, DESK.planning_model)
     missed = posterior.weights[: len(predicted)]
     w, m, p = predicted.weights, predicted.means, predicted.covs
     mass = float(w.sum())

@@ -143,6 +143,24 @@ def test_detection_profile_equals_the_checked_construction():
         detection_profile(cfg, [1.0, 2.0, 3.0])
 
 
+def test_config_keeps_its_models_read_only_and_out_of_the_document():
+    cfg = ScenarioConfig(survival_prob=0.9, clutter_rate=1e-5, ospa_cutoff=50.0)
+    assert cfg.motion.survival_prob == 0.9
+    assert cfg.births.birth is cfg.birth and cfg.births.spawn_terms == cfg.spawn_terms
+    assert cfg.sensor_model.clutter_rate == 1e-5
+    assert cfg.sensor_model.clutter_region.tobytes() == cfg.area.tobytes()
+    assert cfg.planning_model.clutter_rate == cfg.clutter_mass == 1e-5 * 1e6
+    assert cfg.ospa_params.cutoff == 50.0
+    document = config_to_dict(cfg)
+    for name in (
+        "motion", "births", "sensor_model", "planning_model", "clutter_mass",
+        "detection_term", "ospa_params",
+    ):
+        assert name not in document
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, name, None)
+
+
 def test_measurements_ideal_sensor():
     cfg = ScenarioConfig(
         clutter_rate=0.0,
