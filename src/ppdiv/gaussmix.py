@@ -10,7 +10,8 @@ moment-matched pruning/merging, and coordinate scaling.  Mixtures are stored
 as flat arrays (weights, means, covariances) so all of these batch through
 numpy's stacked linear algebra; the simulation loop evaluates pairwise
 Gaussian tables with tens of thousands of entries per step and a component
-loop would dominate the runtime.
+loop would dominate the runtime.  ``pairwise_log_inner`` is the one evaluator
+of such tables, in blocks of 2**16 pairs, and of a self table on one triangle.
 
 All evaluation happens in log space through a Cholesky factorization, so
 ill-scaled but positive-definite covariances (entries around 1e6 show up in
@@ -27,6 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 _LOG_2PI = math.log(2.0 * math.pi)
+# Pairs per block of a batched table: its intermediates then stay in a core's
+# own cache, where bigger blocks stream through memory and slow down whenever
+# a neighbour does the same.
+_BLOCK = 65_536
 
 
 @dataclass(frozen=True)
@@ -300,14 +305,21 @@ def _active(u: GaussianMixture):
 
 
 def pairwise_log_inner(means_a, covs_a, means_b, covs_b) -> np.ndarray:
-    """Matrix of log N(m_a_i; m_b_j, P_a_i + P_b_j), shape (na, nb)."""
-    na, d = means_a.shape
-    nb = means_b.shape[0]
-    if na == 0 or nb == 0:
-        return np.zeros((na, nb))
-    diffs = means_a[:, None, :] - means_b[None, :, :]
-    covs = covs_a[:, None, :, :] + covs_b[None, :, :, :]
-    return log_gauss(diffs.reshape(-1, d), covs.reshape(-1, d, d)).reshape(na, nb)
+    """Matrix of log N(m_a_i; m_b_j, P_a_i + P_b_j), shape (na, nb), in blocks
+    of 2**16 pairs.  Given the same arrays on both sides, each unordered pair
+    is evaluated once and mirrored: P_i + P_j is the same in both orders and
+    the differences are exact negatives, so the table is bitwise symmetric."""
+    na, nb = means_a.shape[0], means_b.shape[0]
+    out = np.empty((na, nb))
+    same = means_a is means_b and covs_a is covs_b
+    ia, ib = np.triu_indices(na) if same else np.divmod(np.arange(na * nb), nb)
+    for lo in range(0, ia.size, _BLOCK):
+        a, b = ia[lo : lo + _BLOCK], ib[lo : lo + _BLOCK]
+        diffs = np.take(means_a, a, 0) - np.take(means_b, b, 0)
+        out[a, b] = log_gauss(diffs, np.take(covs_a, a, 0) + np.take(covs_b, b, 0))
+    if same:
+        out[ib, ia] = out[ia, ib]
+    return out
 
 
 def mixture_inner(u: GaussianMixture, v: GaussianMixture) -> float:
@@ -315,9 +327,7 @@ def mixture_inner(u: GaussianMixture, v: GaussianMixture) -> float:
     if u.dim != v.dim:
         raise ValueError(f"dimension mismatch: {u.dim} vs {v.dim}")
     wa, ma, ca = _active(u)
-    wb, mb, cb = _active(v)
-    if wa.size == 0 or wb.size == 0:
-        return 0.0
+    wb, mb, cb = (wa, ma, ca) if v is u else _active(v)
     table = np.exp(pairwise_log_inner(ma, ca, mb, cb))
     return float(wa @ table @ wb)
 
@@ -334,10 +344,7 @@ def mixture_log_eval(u: GaussianMixture, points: np.ndarray) -> np.ndarray:
         return np.full(m, -np.inf)
     logw = np.log(w)
     out = np.empty(m)
-    # Chunk so that the (chunk, n, d) intermediates, about 2**16 (point,
-    # component) pairs, stay in a core's own cache: bigger chunks stream
-    # through memory and slow down whenever a neighbour does the same.
-    chunk = max(1, 65_536 // n)
+    chunk = max(1, _BLOCK // n)
     for lo in range(0, m, chunk):
         pts = points[lo : lo + chunk]
         diffs = pts[:, None, :] - means[None, :, :]
@@ -403,7 +410,7 @@ def prune_merge(
     n = w.size
     order = np.argsort(-w, kind="stable")
     remaining = np.ones(n, dtype=bool)
-    rows = max(1, 65_536 // max(n, 1))
+    rows = max(1, _BLOCK // max(n, 1))
     for lo in range(0, n, rows):
         pivots = order[lo : lo + rows]
         pivots = pivots[remaining[pivots]]

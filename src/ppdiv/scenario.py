@@ -116,6 +116,8 @@ def _area(value) -> np.ndarray:
     area = _matrix(value, None, (2, 2))
     if np.any(area[:, 0] >= area[:, 1]):
         raise ValueError("rows must be [low, high] with low < high")
+    if not math.isfinite(math.prod(hi - lo for lo, hi in area.tolist())):
+        raise ValueError("widths and volume must be finite")  # no numpy overflow warning
     return area
 
 

@@ -145,6 +145,10 @@ def test_bad_covariance_exits_two_naming_the_field(tmp_path, capsys, field, valu
             "area": [[0.0, 1000.0], [0.0, 1000.0], [-50.0, 50.0]],
             "sensor_start": [250.0, 250.0, 0.0],
         },
+        # Areas whose volume or widths overflow, with a rate that fits either.
+        {"area": [[0.0, 1e200], [0.0, 1e200]], "clutter_rate": 1.0, "sensor_start": [1.0, 1.0]},
+        {"area": [[0.0, 1e200], [0.0, 1e200]], "clutter_rate": 0.0, "sensor_start": [1.0, 1.0]},
+        {"area": [[-1e308, 1e308], [0.0, 1000.0]]},
     ],
     ids=[
         "null-number",
@@ -155,6 +159,9 @@ def test_bad_covariance_exits_two_naming_the_field(tmp_path, capsys, field, valu
         "non-integral-item",
         "one-row-observation",
         "three-row-observation",
+        "overflowing-volume",
+        "overflowing-volume-no-clutter",
+        "overflowing-width",
     ],
 )
 def test_malformed_field_exits_two_naming_it(tmp_path, capsys, doc):

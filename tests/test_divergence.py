@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import trapezoid
+from scipy.special import logsumexp
 from scipy.stats import multivariate_normal, norm
 
 from ppdiv import (
@@ -19,6 +20,7 @@ from ppdiv import (
     hellinger_sq_quadrature,
     intensity_grid,
     mixture_eval,
+    mixture_inner,
     mixture_scale,
 )
 from ppdiv.pointprocess import RngStream, mc_csd
@@ -130,6 +132,37 @@ def test_mixture_self_is_zero_and_symmetric():
     fb = MixturePoissonModel(((0.7, b), (0.3, a)))
     assert csd_poisson_mixture(fa, fb) == csd_poisson_mixture(fb, fa)
     assert csd_poisson_mixture(fa, fb) >= 0.0
+
+
+def test_mixture_matches_per_pair_inner_products():
+    # Every <u_i, v_j> comes from one stacked table; the reference takes each
+    # from its own mixture_inner call.  One sub-intensity carries a
+    # zero-weight component and one is empty.
+    rng = RngStream(23)
+    unit = HyperVolumeUnit(1.7)
+    parts = [random_mixture(rng.child(i), 2, n, 1.0 + 0.3 * i) for i, n in enumerate((3, 4, 2, 5))]
+    padded = GaussianMixture(
+        np.append(parts[1].weights, 0.0),
+        np.vstack([parts[1].means, [[40.0, -40.0]]]),
+        np.concatenate([parts[1].covs, 2.0 * np.eye(2)[None]]),
+    )
+    models = [PoissonModel(u, unit) for u in (parts[0], padded, GaussianMixture.empty(2))]
+    fa = MixturePoissonModel(((0.5, models[0]), (0.3, models[1]), (0.2, models[2])))
+    fb = MixturePoissonModel(
+        ((0.6, PoissonModel(parts[2], unit)), (0.4, PoissonModel(parts[3], unit)))
+    )
+
+    def log_gram(left, right):
+        terms = [
+            (p * q, unit.k * mixture_inner(mi.intensity, mj.intensity) - mi.mass - mj.mass)
+            for p, mi in left.components
+            for q, mj in right.components
+        ]
+        return logsumexp([e for _, e in terms], b=[w for w, _ in terms])
+
+    want = -log_gram(fa, fb) + 0.5 * log_gram(fa, fa) + 0.5 * log_gram(fb, fb)
+    assert want > 0.01
+    assert abs(csd_poisson_mixture(fa, fb) - want) <= 1e-12 * want
 
 
 def test_mixture_weight_validation():

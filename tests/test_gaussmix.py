@@ -1,6 +1,7 @@
 """Gaussian and Gaussian-mixture algebra against quadrature and closed forms."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from ppdiv import (
     mixture_scale,
     prune_merge,
 )
-from ppdiv.gaussmix import log_gauss
+from ppdiv.gaussmix import log_gauss, pairwise_log_inner
 from ppdiv.pointprocess import RngStream, sample_poisson_counts
 from ppdiv.validate import random_mixture
 
@@ -131,6 +132,37 @@ def test_mixture_inner_matches_2d_quadrature():
         v = random_mixture(rng.child(2 * i + 1), 2, 2, 0.8)
         oracle = grid_product_2d(u, v)
         assert mixture_inner(u, v) == pytest.approx(oracle, rel=1e-6)
+
+
+@pytest.mark.parametrize("n", [0, 1, 400])
+def test_pairwise_self_table_is_symmetric_and_equals_cross_route(n):
+    # 400 components make 80,200 triangle pairs and 160,000 cross pairs, so
+    # both routes span several blocks of 2**16 pairs.
+    u = random_mixture(RngStream(43), 4, n, 3.0) if n else GaussianMixture.empty(4)
+    m, c = u.means, u.covs
+    table = pairwise_log_inner(m, c, m, c)
+    assert table.shape == (n, n)
+    assert table.tobytes() == table.T.copy().tobytes()
+    cross = pairwise_log_inner(m.copy(), c.copy(), m.copy(), c.copy())
+    assert table.tobytes() == cross.tobytes()
+    # Blocking changes no value: one unblocked batch gives the same bits.
+    diffs, covs = (m[:, None] - m[None]).reshape(-1, 4), (c[:, None] + c[None]).reshape(-1, 4, 4)
+    whole = log_gauss(diffs, covs)
+    assert cross.tobytes() == whole.tobytes()
+
+
+def test_self_inner_product_memory_stays_bounded():
+    # Unblocked, the 600 x 600 stack of 4 x 4 covariance sums alone takes
+    # 44 MiB and its Cholesky factors as much again; blocks of 2**16 pairs
+    # hold a fraction of that at a time.
+    u = random_mixture(RngStream(45), 4, 600, 5.0)
+    tracemalloc.start()
+    try:
+        mixture_inner(u, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
 
 
 def test_mixture_log_eval_matches_component_loop_across_chunks():

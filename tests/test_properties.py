@@ -1,7 +1,8 @@
 """Property-based checks of the closed-form Cauchy-Schwarz divergence on
-small random Gaussian-mixture intensities in d = 1-3, of mixture_inner and
-csd_poisson_gm against an independent slogdet/solve double sum on
-ill-scaled 4-d covariances, of the look-ahead scorer's factored reward on
+small random Gaussian-mixture intensities in d = 1-3, of log_gauss,
+mixture_inner and csd_poisson_gm against an independent slogdet/solve double
+sum on ill-scaled 4-d covariances, of the rewards a short cs run records
+against the same double sum, of the look-ahead scorer's factored reward on
 random predicted intensities in d = 4, of prune_merge against a
 one-pivot-at-a-time reference, and of phd_update's missed-detection mass.
 
@@ -33,8 +34,10 @@ from ppdiv import (
     prune_merge,
     reward,
 )
-from ppdiv.control import _evaluate_candidate, _score
-from ppdiv.gaussmix import _maha, mixture_inner
+from ppdiv import harness
+from ppdiv.control import _evaluate_candidate, _score, select_action
+from ppdiv.gaussmix import _maha, log_gauss, mixture_inner
+from ppdiv.harness import run_simulation
 
 properties = settings(derandomize=True, max_examples=50, deadline=None, database=None)
 ROUNDING = 1e-12
@@ -112,17 +115,20 @@ def test_csd_linear_in_unit(pair, k):
 # the Gaussian kernel against an independent double sum
 
 
+def reference_log_gauss(diffs, covs):
+    """log N(diff; 0, C) for stacked diffs (..., d) and covariances
+    (..., d, d), with numpy's slogdet and solve, apart from gaussmix's
+    Cholesky kernel."""
+    logdet = np.linalg.slogdet(covs)[1]
+    maha = np.einsum("...i,...i->...", diffs, np.linalg.solve(covs, diffs[..., None])[..., 0])
+    return -0.5 * (maha + logdet + diffs.shape[-1] * math.log(2.0 * math.pi))
+
+
 def reference_inner(u, v):
-    """<u, v> = sum_ij w_i w_j N(m_i; m_j, P_i + P_j), term by term with
-    numpy's slogdet and solve, apart from gaussmix's Cholesky kernel."""
-    total = 0.0
-    for wi, mi, pi in zip(u.weights, u.means, u.covs):
-        for wj, mj, pj in zip(v.weights, v.means, v.covs):
-            c, diff = pi + pj, mi - mj
-            logdet = np.linalg.slogdet(c)[1]
-            maha = diff @ np.linalg.solve(c, diff)
-            total += wi * wj * math.exp(-0.5 * (maha + logdet + diff.size * math.log(2.0 * math.pi)))
-    return total
+    """<u, v> = sum_ij w_i w_j N(m_i; m_j, P_i + P_j), every term from
+    reference_log_gauss."""
+    logs = reference_log_gauss(u.means[:, None] - v.means[None], u.covs[:, None] + v.covs[None])
+    return float(u.weights @ np.exp(logs) @ v.weights)
 
 
 @st.composite
@@ -138,6 +144,18 @@ def ill_scaled_mixtures(draw):
     shapes = factors @ np.swapaxes(factors, -1, -2) + 0.2 * np.eye(4)
     covs = sigmas[:, :, None] * shapes * sigmas[:, None, :]
     return GaussianMixture(weights, offsets * sigmas, covs)
+
+
+@properties
+@given(ill_scaled_mixtures(), ill_scaled_mixtures())
+def test_log_gauss_matches_independent_reference(u, v):
+    # Each component's own covariance, and every pair sum P_i + P_j.
+    for diffs, covs in (
+        (u.means - v.means[0], u.covs),
+        (u.means[:, None] - v.means[None], u.covs[:, None] + v.covs[None]),
+    ):
+        want = reference_log_gauss(diffs, covs)
+        assert np.all(np.abs(log_gauss(diffs, covs) - want) <= ROUNDING * (1.0 + np.abs(want)))
 
 
 @properties
@@ -159,6 +177,31 @@ def test_csd_matches_independent_reference(u, v):
 # the factored look-ahead reward
 
 DESK = ScenarioConfig()
+
+
+def test_recorded_cs_rewards_match_independent_double_sum(monkeypatch):
+    # Step by step, the reward a short cs run records for its chosen position
+    # against the divergence between the predicted intensity and
+    # phd_update's posterior there, summed with reference_inner.
+    cfg = ScenarioConfig(horizon=6)
+    seen = []
+
+    def recording(predicted, s_prev, cfg):
+        position, evaluations = select_action(predicted, s_prev, cfg)
+        seen.append((predicted, position))
+        return position, evaluations
+
+    monkeypatch.setattr(harness, "select_action", recording)
+    record = run_simulation(cfg, 1, "cs")
+    assert len(seen) == len(record.steps) == 6
+    for step, (predicted, position) in zip(record.steps, seen):
+        z_star = ideal_measurements(predicted, cfg.observation, cfg.extraction_threshold)
+        profile = detection_profile(cfg, position)
+        posterior = phd_update(predicted, z_star, profile, cfg.planning_model)
+        uu, vv = reference_inner(predicted, predicted), reference_inner(posterior, posterior)
+        want = 0.5 * (uu + vv) - reference_inner(predicted, posterior)
+        assert abs(step.reward - want) <= ROUNDING * (uu + vv)
+    assert min(step.reward for step in record.steps) > 0.0
 
 
 @st.composite
