@@ -20,6 +20,7 @@ single-Gaussian intensities; it does not depend on k.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -252,6 +253,8 @@ def intensity_grid(
     Returns (points, cell_volume) where points has shape (n_cells, d).  The
     box is the union of per-component mean +- pad_sigmas * sqrt(diag cov)
     ranges.  Supports d = 1 and d = 2 (cell counts grow as cells^d).
+    ``cells_per_axis`` must be a whole number >= 2 (an integral float is
+    taken as its integer) and ``pad_sigmas`` finite and >= 0.
     """
     mixtures = list(mixtures)
     if not mixtures:
@@ -264,8 +267,15 @@ def intensity_grid(
         raise ValueError(f"quadrature grids support dim 1 and 2, got {dim}")
     if cells_per_axis is None:
         cells_per_axis = _DEFAULT_CELLS[dim]
-    if cells_per_axis < 2:
-        raise ValueError("cells_per_axis must be >= 2")
+    if not (
+        isinstance(cells_per_axis, numbers.Real)
+        and float(cells_per_axis).is_integer()
+        and cells_per_axis >= 2
+    ):
+        raise ValueError(f"cells_per_axis must be a whole number >= 2, got {cells_per_axis!r}")
+    cells_per_axis = int(cells_per_axis)
+    if not (isinstance(pad_sigmas, numbers.Real) and math.isfinite(pad_sigmas) and pad_sigmas >= 0):
+        raise ValueError(f"pad_sigmas must be finite and >= 0, got {pad_sigmas!r}")
     lo = np.full(dim, np.inf)
     hi = np.full(dim, -np.inf)
     any_component = False

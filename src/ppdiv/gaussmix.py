@@ -13,6 +13,12 @@ Gaussian tables with tens of thousands of entries per step and a component
 loop would dominate the runtime.  ``pairwise_log_inner`` is the one evaluator
 of such tables, in blocks of 2**16 pairs, and of a self table on one triangle.
 
+``mixture_log_eval`` evaluates a mixture at many points (the quadrature and
+Monte Carlo oracles).  It factors the covariances once and lays each block
+of about 2**16 (point, component) pairs out component-major, (components,
+points): a quadrature grid or Monte Carlo batch has far more points than the
+mixture has components, so the elementwise kernel runs along long rows.
+
 All evaluation happens in log space through a Cholesky factorization, so
 ill-scaled but positive-definite covariances (entries around 1e6 show up in
 the sensor model) stay accurate.
@@ -28,10 +34,10 @@ from dataclasses import dataclass
 import numpy as np
 
 _LOG_2PI = math.log(2.0 * math.pi)
-# Pairs per block of a batched table: its intermediates then stay in a core's
-# own cache, where bigger blocks stream through memory and slow down whenever
-# a neighbour does the same.
-_BLOCK = 65_536
+# Pairs (or rows) per block of a batched computation: its intermediates then
+# stay in a core's own cache, where bigger blocks stream through memory and
+# slow down whenever a neighbour does the same.
+BLOCK = 65_536
 
 
 @dataclass(frozen=True)
@@ -203,22 +209,55 @@ class GaussianMixture:
 # batched Gaussian evaluation
 
 
+def _dot(pairs, out: np.ndarray, scratch: list[np.ndarray], level: int = 0) -> np.ndarray:
+    """sum_j a_j b_j over the (a_j, b_j) ``pairs``, into ``out``, as the
+    even-indexed terms' sum plus the odd-indexed terms' sum, each folded the
+    same way: t0 + t1, (t0 + t2) + t1, (t0 + t2) + (t1 + t3), ...  The odd
+    half goes into ``scratch[level]``; arrays missing from ``scratch`` are
+    appended, about log2(len(pairs)) of them in all."""
+    if len(pairs) == 1:
+        return np.multiply(*pairs[0], out=out)
+    _dot(pairs[::2], out, scratch, level)
+    if len(scratch) == level:
+        scratch.append(np.empty_like(out))
+    _dot(pairs[1::2], scratch[level], scratch, level + 1)
+    return np.add(out, scratch[level], out=out)
+
+
 def _maha(chol: np.ndarray, diffs: np.ndarray) -> np.ndarray:
     """Squared Mahalanobis norms diff' C^-1 diff for batched lower Cholesky
     factors L of C (..., d, d) and diffs (..., d), by solving L y = diff.
 
-    d is small (<= 4 in the tracking scenario) so an explicit loop over rows,
-    vectorized across the batch, beats a general batched solve.
+    d is small (<= 4 in the tracking scenario), so the solve runs row by row,
+    each step one elementwise operation over the whole batch, on the factor
+    entries L[..., i, j] and on contiguous rows y_i, in place.
+
+    Each sum (a row's L_ij y_j, and the final sum of the y_i^2) goes through
+    ``_dot``.  For 2 to 4 terms its order, t0 + t1, (t0 + t2) + t1 and
+    (t0 + t2) + (t1 + t3), is the one numpy's ``einsum`` adds so short a
+    contraction in (the halves of a SIMD register folded together; numpy 2.4
+    on x86-64 with AVX-512).  The pinned byte-identical CSVs, the filter's
+    rewards and the oracle values were first computed with an ``einsum``
+    solve, and floating-point addition is not associative, so any other order
+    moves the last bit of some of them.  From d = 5 on the fold goes on the
+    same way, which need not match ``einsum`` bit for bit; no caller has
+    d >= 5.
     """
     d = chol.shape[-1]
-    y = np.empty(np.broadcast_shapes(chol.shape[:-2] + (d,), diffs.shape), dtype=float)
-    diffs = np.broadcast_to(diffs, y.shape)
-    for i in range(d):
-        acc = diffs[..., i]
+    shape = np.broadcast_shapes(chol.shape[:-2], diffs.shape[:-1])
+    y = np.empty((d,) + shape)
+    rows = [y[i, ...] for i in range(d)]
+    scratch = []
+    for i, yi in enumerate(rows):
         if i:
-            acc = acc - np.einsum("...j,...j->...", chol[..., i, :i], y[..., :i])
-        y[..., i] = acc / chol[..., i, i]
-    return np.einsum("...i,...i->...", y, y)
+            _dot([(chol[..., i, j], rows[j]) for j in range(i)], yi, scratch)
+        acc = np.subtract(diffs[..., i], yi, out=yi) if i else diffs[..., 0]
+        np.divide(acc, chol[..., i, i], out=yi)
+    # Up to d = 4 in place: each square lands on y_0 or on a row of the upper
+    # half, after the row it overwrites has been read.  Beyond, the solve's
+    # scratch is free again.
+    fold = rows[(d + 1) // 2 :] if d <= 4 else scratch
+    return _dot([(yi, yi) for yi in rows], rows[0], fold)
 
 
 def gauss_factor(covs) -> tuple[np.ndarray, np.ndarray]:
@@ -312,13 +351,22 @@ def pairwise_log_inner(means_a, covs_a, means_b, covs_b) -> np.ndarray:
     na, nb = means_a.shape[0], means_b.shape[0]
     out = np.empty((na, nb))
     same = means_a is means_b and covs_a is covs_b
-    ia, ib = np.triu_indices(na) if same else np.divmod(np.arange(na * nb), nb)
-    for lo in range(0, ia.size, _BLOCK):
-        a, b = ia[lo : lo + _BLOCK], ib[lo : lo + _BLOCK]
+    tri = np.triu_indices(na) if same else None
+    size = tri[0].size if same else na * nb
+    for lo in range(0, size, BLOCK):
+        if same:
+            a, b = tri[0][lo : lo + BLOCK], tri[1][lo : lo + BLOCK]
+        else:
+            # Each block's cross pairs come from its own flat range.
+            a, b = np.divmod(np.arange(lo, min(lo + BLOCK, size)), nb)
         diffs = np.take(means_a, a, 0) - np.take(means_b, b, 0)
-        out[a, b] = log_gauss(diffs, np.take(covs_a, a, 0) + np.take(covs_b, b, 0))
+        # Factored within the call, so the covariance sums are freed before
+        # the solve runs.
+        out[a, b] = log_gauss_factored(
+            diffs, gauss_factor(np.take(covs_a, a, 0) + np.take(covs_b, b, 0))
+        )
     if same:
-        out[ib, ia] = out[ia, ib]
+        out[tri[::-1]] = out[tri]
     return out
 
 
@@ -333,8 +381,17 @@ def mixture_inner(u: GaussianMixture, v: GaussianMixture) -> float:
 
 
 def mixture_log_eval(u: GaussianMixture, points: np.ndarray) -> np.ndarray:
-    """log u(x) for points (m, d); -inf where the mixture is zero."""
+    """log u(x) for points (m, d); -inf where the mixture is zero.
+
+    The covariances are factored once.  The points go in blocks of about
+    2**16 (point, component) pairs, each laid out component-major,
+    (components, points), so that each component's row of points is
+    contiguous.  The log-sum-exp still adds over a contiguous component axis,
+    in the order a point-major block would.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=float))
+    if points.ndim != 2:
+        raise ValueError(f"points must be an (m, d) array with d = {u.dim}, got shape {points.shape}")
     if points.shape[1] != u.dim:
         raise ValueError(f"points have dimension {points.shape[1]}, mixture has {u.dim}")
     m = points.shape[0]
@@ -342,16 +399,24 @@ def mixture_log_eval(u: GaussianMixture, points: np.ndarray) -> np.ndarray:
     n = w.size
     if n == 0 or m == 0:
         return np.full(m, -np.inf)
-    logw = np.log(w)
+    chol, logdet_half = gauss_factor(covs)
+    factor = (chol[:, None], logdet_half[:, None])
+    logw = np.log(w)[:, None]
     out = np.empty(m)
-    chunk = max(1, _BLOCK // n)
+    chunk = max(1, BLOCK // n)
     for lo in range(0, m, chunk):
         pts = points[lo : lo + chunk]
-        diffs = pts[:, None, :] - means[None, :, :]
-        logs = log_gauss(diffs, covs)
-        block = logs + logw
-        top = block.max(axis=1)
-        out[lo : lo + chunk] = top + np.log(np.exp(block - top[:, None]).sum(axis=1))
+        # (d, n, p) seen as (n, p, d), so each coordinate is contiguous.
+        diffs = np.moveaxis(pts.T[:, None, :] - means.T[:, :, None], 0, -1)
+        block = log_gauss_factored(diffs, factor)
+        block += logw
+        top = block.max(axis=0)
+        block -= top
+        np.exp(block, out=block)
+        # numpy adds 8 or more terms pairwise only along a contiguous axis,
+        # and one by one (as it does fewer) along any other.
+        total = block.T.copy().sum(axis=1) if n >= 8 else block.sum(axis=0)
+        out[lo : lo + chunk] = top + np.log(total)
     return out
 
 
@@ -410,7 +475,7 @@ def prune_merge(
     n = w.size
     order = np.argsort(-w, kind="stable")
     remaining = np.ones(n, dtype=bool)
-    rows = max(1, _BLOCK // max(n, 1))
+    rows = max(1, BLOCK // max(n, 1))
     for lo in range(0, n, rows):
         pivots = order[lo : lo + rows]
         pivots = pivots[remaining[pivots]]

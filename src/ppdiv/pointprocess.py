@@ -26,7 +26,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .divergence import MixturePoissonModel, PoissonModel
-from .gaussmix import GaussianMixture, mixture_log_eval
+from .gaussmix import BLOCK, GaussianMixture, mixture_log_eval
 
 MAX_MC_MASS = 5.0
 
@@ -130,6 +130,8 @@ def _sample_points(gen: np.random.Generator, intensity: GaussianMixture, total: 
 
     Draw order: component picks (total uniforms), then standard normals
     (total * d), so the consumption pattern is a pure function of ``total``.
+    The points are then formed in blocks of rows, so that the per-point
+    factors and means gathered for them stay small.
     """
     d = intensity.dim
     if total == 0:
@@ -143,9 +145,13 @@ def _sample_points(gen: np.random.Generator, intensity: GaussianMixture, total: 
     cdf = np.cumsum(w)
     cdf /= cdf[-1]
     comp = np.searchsorted(cdf, gen.random(total), side="right")
-    comp = np.minimum(comp, w.size - 1)
-    z = gen.standard_normal((total, d))
-    return means[comp] + np.einsum("nij,nj->ni", chols[comp], z)
+    np.minimum(comp, w.size - 1, out=comp)
+    points = gen.standard_normal((total, d))
+    rows = max(1, BLOCK // (d * d))
+    for lo in range(0, total, rows):
+        pick, z = comp[lo : lo + rows], points[lo : lo + rows]
+        z[...] = means[pick] + np.einsum("nij,nj->ni", chols[pick], z)
+    return points
 
 
 def _model_components(model) -> list[tuple[float, PoissonModel]]:
@@ -187,9 +193,10 @@ def _sample_pattern_batch(rng: RngStream, model, n: int):
         cdf_j = _poisson_cdf_table(sub.mass)
         counts[mask] = np.searchsorted(cdf_j, gen.random(int(mask.sum())), side="right")
     owner = np.repeat(np.arange(n), counts)
+    point_comp = cidx[owner]
     points = np.zeros((int(counts.sum()), d))
     for j, (_, sub) in enumerate(comps):
-        rows = cidx[owner] == j
+        rows = point_comp == j
         total_j = int(rows.sum())
         if total_j:
             points[rows] = _sample_points(gen, sub.intensity, total_j)
@@ -197,17 +204,31 @@ def _sample_pattern_batch(rng: RngStream, model, n: int):
 
 
 def _log_density_batch(model, counts: np.ndarray, points: np.ndarray, owner: np.ndarray) -> np.ndarray:
-    """log density of each pattern in a batch under ``model``."""
+    """log density of each pattern in a batch under ``model``.
+
+    ``owner`` must be sorted, as ``_sample_pattern_batch`` returns it.  The
+    patterns go in blocks of whole patterns holding about BLOCK points, so
+    the per-point and per-pattern temporaries stay small.
+    """
     comps = _model_components(model)
     n = counts.size
     logk = math.log(comps[0][1].unit.k)
-    per_comp = np.empty((len(comps), n))
-    for j, (wj, sub) in enumerate(comps):
-        point_logs = mixture_log_eval(sub.intensity, points)
-        sums = np.bincount(owner, weights=point_logs, minlength=n) if points.shape[0] else np.zeros(n)
-        prior = math.log(wj) if wj > 0.0 else -np.inf
-        per_comp[j] = prior - sub.mass + sums
-    return counts * logk + logsumexp(per_comp, axis=0)
+    starts = np.concatenate(([0], np.cumsum(counts)))
+    out = np.empty(n)
+    lo = 0
+    while lo < n:
+        hi = max(lo + 1, int(np.searchsorted(starts, starts[lo] + BLOCK, side="right")) - 1)
+        pts = points[starts[lo] : starts[hi]]
+        own = owner[starts[lo] : starts[hi]] - lo
+        per_comp = np.empty((len(comps), hi - lo))
+        for j, (wj, sub) in enumerate(comps):
+            point_logs = mixture_log_eval(sub.intensity, pts)
+            sums = np.bincount(own, weights=point_logs, minlength=hi - lo)
+            prior = math.log(wj) if wj > 0.0 else -np.inf
+            per_comp[j] = prior - sub.mass + sums
+        out[lo:hi] = counts[lo:hi] * logk + logsumexp(per_comp, axis=0)
+        lo = hi
+    return out
 
 
 def poisson_log_density(pattern: PointPattern, model) -> float:

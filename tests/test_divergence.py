@@ -110,6 +110,33 @@ def test_quadrature_grid_convergence():
     assert abs(at(2000) - at(4000)) < 1e-7
 
 
+@pytest.mark.parametrize("cells", [2.5, 1, 1.0, True, -3, float("nan"), float("inf"), "10"])
+def test_intensity_grid_rejects_bad_cell_counts(cells):
+    # 2.5 used to build a 3 x 3 grid of cells span / 2.5 wide.
+    u = GaussianMixture([1.5], np.zeros((1, 2)), np.eye(2)[None])
+    with pytest.raises(ValueError, match=r"cells_per_axis must be a whole number >= 2, got "):
+        intensity_grid([u], cells_per_axis=cells)
+
+
+@pytest.mark.parametrize("pad", [float("nan"), float("inf"), -1.0, -1e-300, "8"])
+def test_intensity_grid_rejects_bad_padding(pad):
+    u = GaussianMixture([1.5], np.zeros((1, 2)), np.eye(2)[None])
+    with pytest.raises(ValueError, match=r"pad_sigmas must be finite and >= 0, got "):
+        intensity_grid([u], pad_sigmas=pad)
+
+
+def test_intensity_grid_accepts_integral_counts_of_any_type():
+    u = GaussianMixture([1.5], np.zeros((1, 2)), np.eye(2)[None])
+    pts, vol = intensity_grid([u], cells_per_axis=40)
+    for cells in (np.int64(40), 40.0, np.float64(40.0)):
+        other, other_vol = intensity_grid([u], cells_per_axis=cells)
+        assert np.array_equal(other, pts) and other_vol == vol
+    # The grid holds the mixture's mass; zero padding is a legal, smaller box.
+    assert float(mixture_eval(u, pts).sum()) * vol == pytest.approx(1.5, rel=1e-6)
+    small, _ = intensity_grid([u], cells_per_axis=40, pad_sigmas=0)
+    assert np.abs(small).max() < 1.0
+
+
 def test_mixture_single_component_reduction():
     rng = RngStream(17)
     for i in range(5):

@@ -21,7 +21,7 @@ from ppdiv import (
     mixture_scale,
     prune_merge,
 )
-from ppdiv.gaussmix import log_gauss, pairwise_log_inner
+from ppdiv.gaussmix import _LOG_2PI, _maha, gauss_factor, log_gauss, log_gauss_factored, pairwise_log_inner
 from ppdiv.pointprocess import RngStream, sample_poisson_counts
 from ppdiv.validate import random_mixture
 
@@ -176,6 +176,163 @@ def test_mixture_log_eval_matches_component_loop_across_chunks():
     )
     expected = logsumexp(per_component + np.log(u.weights), axis=1)
     np.testing.assert_allclose(mixture_log_eval(u, points), expected, rtol=1e-12, atol=1e-12)
+
+
+def fixed_order_sum(t):
+    # The order _maha promises for sums of 1 to 4 terms.
+    if len(t) < 3:
+        return t[0] + t[1] if len(t) == 2 else t[0]
+    return (t[0] + t[2]) + (t[1] + t[3] if len(t) == 4 else t[1])
+
+
+def ordered_maha(chol, diffs):
+    # Forward substitution, each sum added in the fixed order.
+    y = []
+    for i in range(chol.shape[-1]):
+        acc = diffs[..., i]
+        if i:
+            acc = acc - fixed_order_sum([chol[..., i, j] * y[j] for j in range(i)])
+        y.append(acc / chol[..., i, i])
+    return fixed_order_sum([yi * yi for yi in y])
+
+
+def ordered_log_gauss(diffs, covs):
+    chol = np.linalg.cholesky(covs)
+    logdet_half = np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
+    return -0.5 * (ordered_maha(chol, diffs) + diffs.shape[-1] * _LOG_2PI) - logdet_half
+
+
+def einsum_maha(chol, diffs):
+    # Forward substitution with one einsum per row and one for the final sum:
+    # the solve the pinned outputs were first computed with.
+    d = chol.shape[-1]
+    y = np.empty(np.broadcast_shapes(chol.shape[:-2] + (d,), diffs.shape))
+    diffs = np.broadcast_to(diffs, y.shape)
+    for i in range(d):
+        acc = diffs[..., i]
+        if i:
+            acc = acc - np.einsum("...j,...j->...", chol[..., i, :i], y[..., :i])
+        y[..., i] = acc / chol[..., i, i]
+    return np.einsum("...i,...i->...", y, y)
+
+
+def spd_stack(gen, shape, d):
+    # Factors spread over six decades, as the sensor model's covariances are.
+    a = gen.standard_normal(shape + (d, d)) * 10.0 ** gen.uniform(-3, 3, shape + (1, 1))
+    return a @ np.swapaxes(a, -1, -2) + 1e-3 * np.eye(d)
+
+
+def caller_layouts(d, seed):
+    # (covs, diffs) in every layout the callers hand to the kernel.
+    gen = np.random.default_rng(seed)
+    layouts = {
+        # pairwise_log_inner and the look-ahead's detection pairs: one factor per diff.
+        "per-pair stack": (spd_stack(gen, (3000,), d), (3000, d)),
+        # the look-ahead's predicted-by-detection table: (n, d, d) against (k, n, d).
+        "shared over a leading axis": (spd_stack(gen, (60,), d), (17, 60, d)),
+        # gmphd's detection term and prune_merge's gate: one matrix, many diffs.
+        "one matrix": (spd_stack(gen, (), d), (2000, d)),
+        # mixture_log_eval's component-major blocks: (n, 1, d, d) against (n, p, d).
+        "component-major": (spd_stack(gen, (30, 1), d), (30, 400, d)),
+        # gauss_bhatt_coeff and gauss_inner: one matrix, one diff.
+        "scalar": (spd_stack(gen, (), d), (d,)),
+    }
+    for name, (covs, shape) in layouts.items():
+        diffs = gen.standard_normal(shape) * 10.0 ** gen.uniform(-3, 3, shape[:-1] + (1,))
+        yield name, covs, diffs
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_maha_adds_in_its_fixed_order_in_every_caller_layout(d):
+    for name, covs, diffs in caller_layouts(d, 100 + d):
+        chol = np.linalg.cholesky(covs)
+        np.testing.assert_array_equal(_maha(chol, diffs), ordered_maha(chol, diffs), err_msg=name)
+        np.testing.assert_array_equal(
+            log_gauss_factored(diffs, gauss_factor(covs)), ordered_log_gauss(diffs, covs), err_msg=name
+        )
+        # Strided diffs, as mixture_log_eval hands them over, change nothing.
+        strided = np.moveaxis(np.ascontiguousarray(np.moveaxis(diffs, -1, 0)), 0, -1)
+        np.testing.assert_array_equal(_maha(chol, strided), ordered_maha(chol, diffs), err_msg=name)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_maha_fixed_order_is_numpys_einsum_order(d):
+    # The pinned CSVs were computed with an einsum solve.  A failure here,
+    # with the fixed-order test passing, means numpy's einsum now adds 2 to 4
+    # terms in another order on this machine or numpy version; the kernel is
+    # unchanged.
+    for name, covs, diffs in caller_layouts(d, 100 + d):
+        chol = np.linalg.cholesky(covs)
+        np.testing.assert_array_equal(
+            ordered_maha(chol, diffs),
+            einsum_maha(chol, diffs),
+            err_msg=f"{name}: numpy's einsum summation order has changed",
+        )
+
+
+@pytest.mark.parametrize("d", [5, 6])
+def test_maha_beyond_four_dimensions_matches_solve(d):
+    for name, covs, diffs in caller_layouts(d, 100 + d):
+        chol = np.linalg.cholesky(covs)
+        shape = np.broadcast_shapes(covs.shape[:-2], diffs.shape[:-1])
+        y = np.linalg.solve(np.broadcast_to(chol, shape + (d, d)), np.broadcast_to(diffs, shape + (d,))[..., None])
+        np.testing.assert_allclose(_maha(chol, diffs), (y[..., 0] ** 2).sum(axis=-1), rtol=1e-12, err_msg=name)
+
+
+def point_major_log_eval(u, points):
+    # Point-major blocks of 2**16 // n points with the covariances factored
+    # again for every block: the evaluation the pinned oracle values were
+    # first computed with, on the fixed-order kernel, kept as a bitwise
+    # reference.
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    keep = u.weights > 0.0
+    w, means, covs = u.weights[keep], u.means[keep], u.covs[keep]
+    m, n = points.shape[0], w.size
+    if n == 0 or m == 0:
+        return np.full(m, -np.inf)
+    out = np.empty(m)
+    chunk = max(1, 65_536 // n)
+    for lo in range(0, m, chunk):
+        pts = points[lo : lo + chunk]
+        block = ordered_log_gauss(pts[:, None, :] - means[None, :, :], covs) + np.log(w)
+        top = block.max(axis=1)
+        out[lo : lo + chunk] = top + np.log(np.exp(block - top[:, None]).sum(axis=1))
+    return out
+
+
+@pytest.mark.parametrize("n, d", [(1, 2), (2, 1), (7, 2), (8, 3), (20, 2), (300, 4), (2500, 2)])
+def test_mixture_log_eval_is_bitwise_the_point_major_loop(n, d):
+    # Blocks hold 2**16 // n points, more than n up to n = 255 and fewer
+    # above.  n = 7 and 8 straddle numpy's switch from one-by-one to pairwise
+    # sums.  Zero-weight components are mixed in beside the n live ones; the
+    # points span two full blocks, a partial one and a far tail.
+    rng = RngStream(1000 + n)
+    live = random_mixture(rng.child(0), d, n, 3.0)
+    dead = random_mixture(rng.child(1), d, max(1, n // 3), 1.0)
+    order = rng.child(2).generator.permutation(n + len(dead))
+    u = GaussianMixture(
+        np.concatenate([live.weights, np.zeros(len(dead))])[order],
+        np.concatenate([live.means, dead.means])[order],
+        np.concatenate([live.covs, dead.covs])[order],
+    )
+    m = 2 * max(1, 65_536 // n) + 3
+    points = rng.child(3).generator.standard_normal((m, d)) * np.geomspace(0.1, 30.0, m)[:, None]
+    np.testing.assert_array_equal(mixture_log_eval(u, points), point_major_log_eval(u, points))
+    np.testing.assert_array_equal(mixture_log_eval(u, points[:1]), point_major_log_eval(u, points[:1]))
+
+
+def test_mixture_log_eval_empty_inputs_and_bad_shapes():
+    u = random_mixture(RngStream(47), 2, 3, 1.0)
+    assert mixture_log_eval(u, np.zeros((0, 2))).shape == (0,)
+    assert np.all(mixture_log_eval(GaussianMixture.empty(2), np.ones((4, 2))) == -np.inf)
+    silent = GaussianMixture(np.zeros(3), u.means, u.covs)
+    assert np.all(mixture_log_eval(silent, np.ones((4, 2))) == -np.inf)
+    # A single point may come as a vector.
+    assert mixture_log_eval(u, np.ones(2)).tobytes() == mixture_log_eval(u, np.ones((1, 2))).tobytes()
+    with pytest.raises(ValueError, match=r"^points must be an \(m, d\) array"):
+        mixture_log_eval(u, np.zeros((5, 2, 2)))
+    with pytest.raises(ValueError, match="points have dimension 3"):
+        mixture_log_eval(u, np.zeros((5, 3)))
 
 
 def test_mixture_inner_dimension_mismatch():
