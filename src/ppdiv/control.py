@@ -182,7 +182,7 @@ def reward(
     )
 
 
-def _best_index(evaluations: list[ActionEvaluation]) -> int:
+def best_index(evaluations: list[ActionEvaluation]) -> int:
     """Index of the highest reward; ties go to the earliest candidate."""
     return int(np.argmax([e.reward for e in evaluations]))
 
@@ -203,7 +203,7 @@ def select_action(
         ActionEvaluation(idx, position, value, preview)
         for idx, (position, value, preview) in enumerate(zip(candidates, rewards, previews))
     ]
-    best = _best_index(evaluations)
+    best = best_index(evaluations)
     if math.isinf(evaluations[best].reward):
         raise RuntimeError("every candidate position is outside the surveillance area")
     return candidates[best], evaluations

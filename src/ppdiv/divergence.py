@@ -27,14 +27,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from . import gaussmix
-from .gaussmix import (
-    Gaussian,
-    GaussianMixture,
-    HyperVolumeUnit,
-    gauss_bhatt_coeff,
-    mixture_inner,
-    mixture_mass,
-)
+from .gaussmix import GaussianMixture, HyperVolumeUnit, bhatt_coeff, mixture_inner, mixture_mass
 
 _CLAMP_TOL = 1e-10
 
@@ -146,6 +139,19 @@ def csd_poisson_gm(a: PoissonModel, b: PoissonModel) -> float:
     )
 
 
+def _grid_samples(u_values, v_values, cell_volume) -> tuple[np.ndarray, np.ndarray, float]:
+    """Two intensities' samples on one grid, as flat float arrays of one
+    shape, and the grid's cell volume, finite and > 0; or ValueError."""
+    u_values = np.asarray(u_values, dtype=float).reshape(-1)
+    v_values = np.asarray(v_values, dtype=float).reshape(-1)
+    if u_values.shape != v_values.shape:
+        raise ValueError(f"sample shape mismatch: {u_values.shape} vs {v_values.shape}")
+    cell_volume = float(cell_volume)
+    if not math.isfinite(cell_volume) or cell_volume <= 0.0:
+        raise ValueError(f"cell_volume must be finite and > 0, got {cell_volume!r}")
+    return u_values, v_values, cell_volume
+
+
 def csd_poisson_quadrature(
     u_values: np.ndarray,
     v_values: np.ndarray,
@@ -157,13 +163,7 @@ def csd_poisson_quadrature(
     ``u_values``/``v_values`` are the two intensities evaluated at the same
     cell centers (see intensity_grid); accuracy is the midpoint rule's.
     """
-    u_values = np.asarray(u_values, dtype=float).reshape(-1)
-    v_values = np.asarray(v_values, dtype=float).reshape(-1)
-    if u_values.shape != v_values.shape:
-        raise ValueError(f"sample shape mismatch: {u_values.shape} vs {v_values.shape}")
-    cell_volume = float(cell_volume)
-    if not math.isfinite(cell_volume) or cell_volume <= 0.0:
-        raise ValueError(f"cell_volume must be finite and > 0, got {cell_volume!r}")
+    u_values, v_values, cell_volume = _grid_samples(u_values, v_values, cell_volume)
     diff = u_values - v_values
     return 0.5 * unit.k * float(diff @ diff) * cell_volume
 
@@ -216,11 +216,9 @@ def bhatt_poisson_gaussian(a: PoissonModel, b: PoissonModel) -> float:
             raise ValueError(
                 f"{name} must have a single-component intensity, got {len(model.intensity)}"
             )
-    wu = float(a.intensity.weights[0])
-    wv = float(b.intensity.weights[0])
-    g0 = Gaussian(a.intensity.means[0], a.intensity.covs[0])
-    g1 = Gaussian(b.intensity.means[0], b.intensity.covs[0])
-    coeff = gauss_bhatt_coeff(g0, g1)
+    u, v = a.intensity, b.intensity
+    wu, wv = float(u.weights[0]), float(v.weights[0])
+    coeff = bhatt_coeff(u.means[0] - v.means[0], u.covs[0], v.covs[0])
     return _clamp_roundoff(0.5 * (wu + wv) - math.sqrt(wu * wv) * coeff)
 
 
@@ -229,15 +227,9 @@ def hellinger_sq_quadrature(
 ) -> float:
     """Squared Hellinger distance between intensity measures from grid samples:
     (1/2) sum (sqrt(u) - sqrt(v))^2 vol."""
-    u_values = np.asarray(u_values, dtype=float).reshape(-1)
-    v_values = np.asarray(v_values, dtype=float).reshape(-1)
-    if u_values.shape != v_values.shape:
-        raise ValueError(f"sample shape mismatch: {u_values.shape} vs {v_values.shape}")
+    u_values, v_values, cell_volume = _grid_samples(u_values, v_values, cell_volume)
     if np.any(u_values < 0.0) or np.any(v_values < 0.0):
         raise ValueError("intensity samples must be nonnegative")
-    cell_volume = float(cell_volume)
-    if not math.isfinite(cell_volume) or cell_volume <= 0.0:
-        raise ValueError(f"cell_volume must be finite and > 0, got {cell_volume!r}")
     diff = np.sqrt(u_values) - np.sqrt(v_values)
     return 0.5 * float(diff @ diff) * cell_volume
 

@@ -22,6 +22,9 @@ mixture has components, so the elementwise kernel runs along long rows.
 All evaluation happens in log space through a Cholesky factorization, so
 ill-scaled but positive-definite covariances (entries around 1e6 show up in
 the sensor model) stay accurate.
+
+Arrays from outside the package are judged here and nowhere else:
+``checked_array`` for any finite array, ``validate_cov`` for a covariance.
 """
 
 from __future__ import annotations
@@ -65,15 +68,35 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _spd(c: np.ndarray) -> np.ndarray:
-    """Symmetrized copy of the (..., d, d) stack ``c``, or ValueError unless
-    every matrix in it is finite, symmetric and positive definite."""
-    if not np.all(np.isfinite(c)):
-        raise ValueError("covariance has non-finite entries")
+def checked_array(value, shape: tuple, what: str) -> np.ndarray:
+    """A read-only finite float copy of ``value`` whose shape matches
+    ``shape``, where a None size is free; otherwise a ValueError naming
+    ``what``."""
+    try:
+        arr = np.array(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{what} must be an array of numbers ({exc})") from None
+    if arr.ndim != len(shape) or any(n not in (None, k) for n, k in zip(shape, arr.shape)):
+        shown = ", ".join("n" if n is None else str(n) for n in shape) + "," * (len(shape) == 1)
+        raise ValueError(f"{what} must have shape ({shown}), got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} has non-finite entries")
+    return _frozen(arr)
+
+
+def _spd(c: np.ndarray, definite: bool = True) -> np.ndarray:
+    """Symmetrized copy of the finite (..., d, d) stack ``c``, or ValueError
+    unless every matrix in it is symmetric and positive definite (by
+    Cholesky) or, if not ``definite``, positive semidefinite (no eigenvalue
+    below -1e-9 max(1, max|C|), max over the whole stack)."""
     ct = np.swapaxes(c, -1, -2)
     if not np.allclose(c, ct, rtol=1e-9, atol=1e-9):
         raise ValueError("covariance is not symmetric")
     c = 0.5 * (c + ct)
+    if not definite:
+        if np.linalg.eigvalsh(c).min() < -1e-9 * max(1.0, float(np.abs(c).max())):
+            raise ValueError("covariance is not positive semidefinite")
+        return c
     try:
         np.linalg.cholesky(c)
     except np.linalg.LinAlgError:
@@ -81,16 +104,15 @@ def _spd(c: np.ndarray) -> np.ndarray:
     return c
 
 
-def validate_cov(cov, dim: int | None = None) -> np.ndarray:
+def validate_cov(cov, dim: int | None = None, definite: bool = True) -> np.ndarray:
     """Return a symmetrized, read-only copy of the covariance matrix ``cov``,
     or raise ValueError unless it is square (of size ``dim`` when given),
-    finite, symmetric and positive definite."""
-    c = np.array(cov, dtype=float)
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
+    finite, symmetric and positive definite; positive semidefinite is enough
+    if not ``definite`` (process and spawn noise may be singular)."""
+    c = checked_array(cov, (dim, dim), "covariance")
+    if c.shape[0] != c.shape[1]:
         raise ValueError(f"covariance must be a square matrix, got shape {c.shape}")
-    if dim is not None and c.shape[0] != dim:
-        raise ValueError(f"covariance dimension {c.shape[0]} does not match {dim}")
-    return _frozen(_spd(c))
+    return _frozen(_spd(c, definite))
 
 
 @dataclass(frozen=True)
@@ -101,12 +123,8 @@ class Gaussian:
     cov: np.ndarray
 
     def __post_init__(self):
-        mean = np.atleast_1d(np.array(self.mean, dtype=float))
-        if mean.ndim != 1:
-            raise ValueError(f"mean must be a vector, got shape {mean.shape}")
-        if not np.all(np.isfinite(mean)):
-            raise ValueError("mean has non-finite entries")
-        object.__setattr__(self, "mean", _frozen(mean))
+        mean = checked_array(np.atleast_1d(self.mean), (None,), "mean")
+        object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", validate_cov(self.cov, mean.size))
 
     @property
@@ -126,31 +144,16 @@ class GaussianMixture:
     __slots__ = ("weights", "means", "covs")
 
     def __init__(self, weights, means, covs):
-        w = np.array(weights, dtype=float).reshape(-1)
-        m = np.array(means, dtype=float)
-        c = np.array(covs, dtype=float)
+        w = checked_array(np.ravel(weights), (None,), "weights")
         n = w.size
-        if n == 0:
-            # Empty mixtures keep an explicit dimension via the array shapes.
-            if m.ndim != 2 or m.shape[0] != 0:
-                raise ValueError("empty mixture needs means of shape (0, d); use GaussianMixture.empty")
-            d = m.shape[1]
-            c = c.reshape(0, d, d)
-        else:
-            m = np.atleast_2d(m)
-            if m.shape[0] != n:
-                raise ValueError(f"{n} weights but {m.shape[0]} means")
-            d = m.shape[1]
-            if c.shape != (n, d, d):
-                raise ValueError(f"covs must have shape {(n, d, d)}, got {c.shape}")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weights have non-finite entries")
+        # An empty mixture keeps its dimension in the means' shape (0, d).
+        m = checked_array(np.atleast_2d(means) if n else means, (n, None), "means")
+        d = m.shape[1]
+        c = checked_array(covs if n else np.reshape(covs, (0, d, d)), (n, d, d), "covs")
         if np.any(w < 0.0):
             raise ValueError("weights must be nonnegative")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("means have non-finite entries")
-        self.weights = _frozen(w)
-        self.means = _frozen(m)
+        self.weights = w
+        self.means = m
         self.covs = _frozen(_spd(c))
 
     @classmethod
@@ -174,19 +177,8 @@ class GaussianMixture:
         return cls(np.zeros(0), np.zeros((0, dim)), np.zeros((0, dim, dim)))
 
     @classmethod
-    def from_components(cls, components) -> "GaussianMixture":
-        """Build from an iterable of (weight, Gaussian) pairs (must be nonempty)."""
-        comps = list(components)
-        if not comps:
-            raise ValueError("from_components needs at least one component; use empty(dim)")
-        w = [float(wi) for wi, _ in comps]
-        m = [g.mean for _, g in comps]
-        c = [g.cov for _, g in comps]
-        return cls(w, np.stack(m), np.stack(c))
-
-    @classmethod
     def single(cls, weight: float, mean, cov) -> "GaussianMixture":
-        return cls.from_components([(weight, Gaussian(mean, cov))])
+        return cls([weight], [mean], [cov])
 
     @property
     def dim(self) -> int:
@@ -194,12 +186,6 @@ class GaussianMixture:
 
     def __len__(self) -> int:
         return self.weights.size
-
-    def components(self) -> list[tuple[float, Gaussian]]:
-        return [
-            (float(w), Gaussian(m, c))
-            for w, m, c in zip(self.weights, self.means, self.covs)
-        ]
 
     def __repr__(self) -> str:
         return f"GaussianMixture(n={len(self)}, dim={self.dim}, mass={mixture_mass(self):.6g})"
@@ -316,12 +302,19 @@ def gauss_bhatt_coeff(g0: Gaussian, g1: Gaussian) -> float:
     """
     if g0.dim != g1.dim:
         raise ValueError(f"dimension mismatch: {g0.dim} vs {g1.dim}")
-    pbar = 0.5 * (g0.cov + g1.cov)
+    return bhatt_coeff(g0.mean - g1.mean, g0.cov, g1.cov)
+
+
+def bhatt_coeff(diff: np.ndarray, cov0: np.ndarray, cov1: np.ndarray) -> float:
+    """gauss_bhatt_coeff from the mean difference m0 - m1 (d,) and the
+    covariances P0, P1 (d, d), arrays already known to be finite, symmetric
+    and positive definite (such as one mixture component's)."""
+    pbar = 0.5 * (cov0 + cov1)
     chol = np.linalg.cholesky(pbar)
-    maha = float(_maha(chol, g0.mean - g1.mean))
+    maha = float(_maha(chol, diff))
     logdet_bar = 2.0 * float(np.log(np.diagonal(chol)).sum())
-    _, logdet0 = np.linalg.slogdet(g0.cov)
-    _, logdet1 = np.linalg.slogdet(g1.cov)
+    _, logdet0 = np.linalg.slogdet(cov0)
+    _, logdet1 = np.linalg.slogdet(cov1)
     log_cb = -0.125 * maha - 0.5 * (logdet_bar - 0.5 * (logdet0 + logdet1))
     return float(np.exp(log_cb))
 
@@ -558,16 +551,11 @@ def mixture_from_dict(data: dict) -> GaussianMixture:
     for i, comp in enumerate(comps):
         try:
             weights.append(float(comp["weight"]))
-            mean = np.asarray(comp["mean"], dtype=float)
-            cov = np.asarray(comp["cov"], dtype=float)
+            mean, cov = comp["mean"], comp["cov"]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"components[{i}] is malformed: {exc}") from None
-        if mean.shape != (dim,):
-            raise ValueError(f"components[{i}].mean must have shape ({dim},), got {mean.shape}")
-        if cov.shape != (dim, dim):
-            raise ValueError(f"components[{i}].cov must have shape ({dim}, {dim}), got {cov.shape}")
-        means.append(mean)
-        covs.append(cov)
+        means.append(checked_array(mean, (dim,), f"components[{i}].mean"))
+        covs.append(checked_array(cov, (dim, dim), f"components[{i}].cov"))
     return GaussianMixture(weights, np.stack(means), np.stack(covs))
 
 

@@ -28,41 +28,20 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussmix import GaussianMixture, log_gauss, validate_cov
+from .gaussmix import GaussianMixture, checked_array, log_gauss, validate_cov
 from .pointprocess import PointPattern
 
 _EPS_MASS = 1e-12
 
 
-def _validate_matrix(name: str, value, shape=None) -> np.ndarray:
-    arr = np.array(value, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError(f"{name} must be a matrix, got shape {arr.shape}")
-    if shape is not None and arr.shape != shape:
-        raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} has non-finite entries")
-    arr.setflags(write=False)
-    return arr
-
-
-def _validate_psd(name: str, value) -> np.ndarray:
-    arr = np.array(value, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} has non-finite entries")
-    if not np.allclose(arr, arr.T, rtol=1e-9, atol=1e-9):
-        raise ValueError(f"{name} is not symmetric")
-    arr = 0.5 * (arr + arr.T)
-    scale = max(1.0, float(np.abs(arr).max()))
-    if np.linalg.eigvalsh(arr).min() < -1e-9 * scale:
-        raise ValueError(f"{name} is not positive semidefinite")
-    arr.setflags(write=False)
+def _square(value, what: str) -> np.ndarray:
+    arr = checked_array(value, (None, None), what)
+    if arr.shape[0] != arr.shape[1]:
+        raise ValueError(f"{what} must be square, got shape {arr.shape}")
     return arr
 
 
@@ -75,15 +54,10 @@ class MotionModel:
     survival_prob: float = 1.0
 
     def __post_init__(self):
-        f = _validate_matrix("transition", self.transition)
-        if f.shape[0] != f.shape[1]:
-            raise ValueError(f"transition must be square, got {f.shape}")
+        f = _square(self.transition, "transition")
         object.__setattr__(self, "transition", f)
-        object.__setattr__(
-            self, "process_noise", _validate_psd("process_noise", self.process_noise)
-        )
-        if self.process_noise.shape != f.shape:
-            raise ValueError("process_noise shape does not match transition")
+        q = checked_array(self.process_noise, f.shape, "process_noise")
+        object.__setattr__(self, "process_noise", validate_cov(q, definite=False))
         ps = float(self.survival_prob)
         if not (0.0 <= ps <= 1.0):
             raise ValueError(f"survival_prob must be in [0, 1], got {ps!r}")
@@ -108,19 +82,11 @@ class SpawnTerm:
         if not (w >= 0.0 and math.isfinite(w)):
             raise ValueError(f"spawn weight must be finite and >= 0, got {w!r}")
         object.__setattr__(self, "weight", w)
-        f = _validate_matrix("spawn transition", self.transition)
-        if f.shape[0] != f.shape[1]:
-            raise ValueError(f"spawn transition must be square, got {f.shape}")
+        f = _square(self.transition, "transition")
         object.__setattr__(self, "transition", f)
-        off = np.array(self.offset, dtype=float).reshape(-1)
-        if off.size != f.shape[0] or not np.all(np.isfinite(off)):
-            raise ValueError("spawn offset does not match transition dimension")
-        off.setflags(write=False)
-        object.__setattr__(self, "offset", off)
-        q = _validate_psd("spawn noise", self.noise)
-        if q.shape != f.shape:
-            raise ValueError("spawn noise shape does not match transition")
-        object.__setattr__(self, "noise", q)
+        object.__setattr__(self, "offset", checked_array(self.offset, f.shape[:1], "offset"))
+        q = checked_array(self.noise, f.shape, "noise")
+        object.__setattr__(self, "noise", validate_cov(q, definite=False))
 
 
 @dataclass(frozen=True)
@@ -157,22 +123,18 @@ class MeasModel:
     clutter_region: np.ndarray | None = None
 
     def __post_init__(self):
-        h = _validate_matrix("observation", self.observation)
+        h = checked_array(self.observation, (None, None), "observation")
         object.__setattr__(self, "observation", h)
-        object.__setattr__(self, "noise", validate_cov(self.noise, h.shape[0]))
+        r = checked_array(self.noise, (h.shape[0],) * 2, "noise")
+        object.__setattr__(self, "noise", validate_cov(r))
         rate = float(self.clutter_rate)
         if not (rate >= 0.0 and math.isfinite(rate)):
             raise ValueError(f"clutter_rate must be finite and >= 0, got {rate!r}")
         object.__setattr__(self, "clutter_rate", rate)
         if self.clutter_region is not None:
-            box = np.array(self.clutter_region, dtype=float)
-            if box.shape != (h.shape[0], 2) or not np.all(np.isfinite(box)):
-                raise ValueError(
-                    f"clutter_region must be ({h.shape[0]}, 2) [low, high] rows"
-                )
+            box = checked_array(self.clutter_region, (h.shape[0], 2), "clutter_region")
             if np.any(box[:, 0] >= box[:, 1]):
                 raise ValueError("clutter_region rows must satisfy low < high")
-            box.setflags(write=False)
             object.__setattr__(self, "clutter_region", box)
 
     @property
@@ -194,14 +156,6 @@ def clutter_intensity(meas: MeasModel, zs: np.ndarray) -> np.ndarray:
     return np.where(inside, meas.clutter_rate, 0.0)
 
 
-def _term_center(value) -> np.ndarray:
-    c = np.array(value, dtype=float).reshape(-1)
-    if not np.all(np.isfinite(c)):
-        raise ValueError("detection term center has non-finite entries")
-    c.setflags(write=False)
-    return c
-
-
 @dataclass(frozen=True)
 class DetectionTerm:
     """One Gaussian detection term w * N(D x; c, S)."""
@@ -216,15 +170,17 @@ class DetectionTerm:
         if not (w >= 0.0 and math.isfinite(w)):
             raise ValueError(f"detection term weight must be finite and >= 0, got {w!r}")
         object.__setattr__(self, "weight", w)
-        c = _term_center(self.center)
+        c = checked_array(self.center, (None,), "center")
         object.__setattr__(self, "center", c)
-        object.__setattr__(self, "cov", validate_cov(self.cov, c.size))
-        d = _validate_matrix("detection projection", self.projection)
-        if d.shape[0] != c.size:
-            raise ValueError(
-                f"projection rows {d.shape[0]} do not match center dimension {c.size}"
-            )
+        d = checked_array(self.projection, (None, None), "projection")
         object.__setattr__(self, "projection", d)
+        self._match(d.shape[0], c)
+        object.__setattr__(self, "cov", validate_cov(self.cov, c.size))
+
+    @staticmethod
+    def _match(rows: int, center: np.ndarray) -> None:
+        if center.size != rows:
+            raise ValueError(f"projection rows {rows} do not match center dimension {center.size}")
 
     @property
     def state_dim(self) -> int:
@@ -233,11 +189,8 @@ class DetectionTerm:
     def at(self, center) -> "DetectionTerm":
         """This term moved to ``center``: only the new center is checked, the
         weight, covariance and projection are this term's, already checked."""
-        c = _term_center(center)
-        if c.size != self.center.size:
-            raise ValueError(
-                f"projection rows {self.center.size} do not match center dimension {c.size}"
-            )
+        c = checked_array(center, (None,), "center")
+        self._match(self.center.size, c)
         term = copy.copy(self)
         object.__setattr__(term, "center", c)
         return term

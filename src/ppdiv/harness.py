@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import time
 from dataclasses import dataclass
@@ -24,7 +23,8 @@ from multiprocessing import get_context
 import numpy as np
 
 from . import __version__
-from .control import _best_index, _evaluate_candidate, ideal_measurements, select_action
+# _evaluate_candidate keeps its private name: perfbench/tracing.py patches it here.
+from .control import _evaluate_candidate, best_index, ideal_measurements, select_action
 from .gaussmix import GaussianMixture, prune_merge
 from .gaussmix import mixture_inner  # noqa: F401 (unused here; the benchmark's tracer patches it)
 from .gmphd import extract_states, phd_predict, phd_update
@@ -94,7 +94,7 @@ def _choose_position(policy, predicted, sensor, cfg, policy_rng):
     """Returns (position, action_index, reward_of_choice)."""
     if policy == "cs":
         position, evaluations = select_action(predicted, sensor, cfg)
-        best = _best_index(evaluations)
+        best = best_index(evaluations)
         return position, best, evaluations[best].reward
     candidates = action_positions(sensor, cfg)
     if policy == "stay":

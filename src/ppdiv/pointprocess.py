@@ -29,6 +29,9 @@ from .divergence import MixturePoissonModel, PoissonModel
 from .gaussmix import BLOCK, GaussianMixture, mixture_log_eval
 
 MAX_MC_MASS = 5.0
+# The largest Poisson mean whose count sample_poisson_counts draws by table
+# inversion; the table holds about mean + 12 sqrt(mean) entries.
+MAX_POISSON_MEAN = 1e6
 
 
 class RngStream:
@@ -108,7 +111,7 @@ def _poisson_cdf_table(mean: float) -> np.ndarray:
         raise ValueError(f"Poisson mean must be finite and >= 0, got {mean!r}")
     if mean == 0.0:
         return np.ones(1)
-    if mean > 1e6:
+    if mean > MAX_POISSON_MEAN:
         raise ValueError(f"Poisson mean {mean!r} too large for table inversion")
     top = int(mean + 12.0 * math.sqrt(mean) + 30.0)
     js = np.arange(1, top + 1)

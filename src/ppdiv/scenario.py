@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
-from .gaussmix import GaussianMixture, log_gauss, mixture_from_dict, mixture_to_dict, validate_cov
+from .gaussmix import GaussianMixture, checked_array, log_gauss, mixture_from_dict, mixture_to_dict
 from .gmphd import (
     BirthSpawnModel,
     DetectionProfile,
@@ -36,7 +36,7 @@ from .gmphd import (
     SpawnTerm,
 )
 from .metrics import OspaParams
-from .pointprocess import PointPattern, RngStream, sample_poisson_counts
+from .pointprocess import MAX_POISSON_MEAN, PointPattern, RngStream, sample_poisson_counts
 
 
 class ConfigError(ValueError):
@@ -100,16 +100,8 @@ _SCALARS = (
 
 
 def _matrix(value, default, shape) -> np.ndarray:
-    """``value`` (``default`` when None) as a read-only finite float matrix
-    of ``shape``, where a None size is free."""
-    arr = np.array(default if value is None else value, dtype=float)
-    if arr.ndim != 2 or any(n not in (None, k) for n, k in zip(shape, arr.shape)):
-        shown = ", ".join("n" if n is None else str(n) for n in shape)
-        raise ValueError(f"expected shape ({shown}), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("has non-finite entries")
-    arr.setflags(write=False)
-    return arr
+    """``value``, or ``default`` when it is None, as checked_array judges it."""
+    return checked_array(default if value is None else value, shape, "matrix")
 
 
 def _area(value) -> np.ndarray:
@@ -122,13 +114,22 @@ def _area(value) -> np.ndarray:
 
 
 def _sensor_start(value, cfg) -> np.ndarray:
-    start = np.array(value, dtype=float).reshape(-1)
-    if start.size != cfg.meas_dim or not np.all(np.isfinite(start)):
-        raise ValueError(f"expected finite {cfg.meas_dim}-vector")
+    start = checked_array(value, (cfg.meas_dim,), "position")
     if not in_area(start, cfg):
         raise ValueError(f"{start.tolist()} is outside area {cfg.area.tolist()}")
-    start.setflags(write=False)
     return start
+
+
+def _clutter_mass(rate: float, area: np.ndarray) -> float:
+    """Expected clutter points per scan, rate x area volume, which one
+    Poisson count per scan must be able to draw."""
+    mass = rate * float(np.prod(area[:, 1] - area[:, 0]))
+    if mass > MAX_POISSON_MEAN:
+        raise ValueError(
+            f"rate x area volume is {mass!r} clutter points per scan, "
+            f"more than the {MAX_POISSON_MEAN!r} a scan can draw"
+        )
+    return mass
 
 
 def _cv_transition(t: float) -> np.ndarray:
@@ -186,11 +187,7 @@ class TruthTarget:
         if death is not None:
             death = _step("death_step", death, lambda v: v > birth, f"> birth_step {birth}")
         object.__setattr__(self, "death_step", death)
-        state = np.array(self.state, dtype=float).reshape(-1)
-        if not np.all(np.isfinite(state)):
-            raise ValueError("state has non-finite entries")
-        state.setflags(write=False)
-        object.__setattr__(self, "state", state)
+        object.__setattr__(self, "state", checked_array(self.state, (None,), "state"))
 
     def alive_at(self, k: int) -> bool:
         return self.birth_step <= k and (self.death_step is None or k < self.death_step)
@@ -207,7 +204,6 @@ def _default_truth_script() -> tuple:
 def _detection_term(shape: np.ndarray, observation: np.ndarray) -> DetectionTerm:
     """p_D's one term, weight 1/N(0; 0, S) so that it peaks at exactly 1,
     centred at the origin; detection_profile moves it to the sensor."""
-    validate_cov(shape, 2)
     peak = float(np.exp(-log_gauss(np.zeros(2), shape)))
     return DetectionTerm(peak, np.zeros(2), shape, observation)
 
@@ -285,7 +281,7 @@ class ScenarioConfig:
         # probability rises, steering the sensor away from its targets; at
         # the scan mass the detections stay unsaturated and the reward grows
         # with the mass the candidate can see.
-        mass = keep("clutter_mass", self.clutter_rate * float(np.prod(area[:, 1] - area[:, 0])))
+        mass = keep("clutter_mass", _field("clutter_rate", _clutter_mass, self.clutter_rate, area))
         keep("planning_model", _field("clutter_rate", MeasModel, h, r, mass, None))
         s = put("detection_shape", _matrix, _DETECTION_SHAPE, (2, 2))
         keep("detection_term", _field("detection_shape", _detection_term, s, h))

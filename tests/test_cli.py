@@ -149,6 +149,8 @@ def test_bad_covariance_exits_two_naming_the_field(tmp_path, capsys, field, valu
         {"area": [[0.0, 1e200], [0.0, 1e200]], "clutter_rate": 1.0, "sensor_start": [1.0, 1.0]},
         {"area": [[0.0, 1e200], [0.0, 1e200]], "clutter_rate": 0.0, "sensor_start": [1.0, 1.0]},
         {"area": [[-1e308, 1e308], [0.0, 1000.0]]},
+        # A clutter mass beyond what one Poisson count per scan can draw.
+        {"clutter_rate": 5.0, "horizon": 2},
     ],
     ids=[
         "null-number",
@@ -162,6 +164,7 @@ def test_bad_covariance_exits_two_naming_the_field(tmp_path, capsys, field, valu
         "overflowing-volume",
         "overflowing-volume-no-clutter",
         "overflowing-width",
+        "clutter-mass-beyond-poisson-table",
     ],
 )
 def test_malformed_field_exits_two_naming_it(tmp_path, capsys, doc):

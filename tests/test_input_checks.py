@@ -1,0 +1,120 @@
+"""Every array from outside is judged by gaussmix's two checkers: the
+filter models, Gaussians, mixtures, truth targets and mixture documents all
+reject bad arrays by argument name, and covariances by one rule."""
+
+import re
+
+import numpy as np
+import pytest
+
+from ppdiv import (
+    ConfigError,
+    DetectionTerm,
+    Gaussian,
+    GaussianMixture,
+    MeasModel,
+    MotionModel,
+    ScenarioConfig,
+    SpawnTerm,
+    TruthTarget,
+    mixture_from_dict,
+)
+
+I2 = np.eye(2)
+
+
+def _doc(mean=(0.0, 0.0), cov=I2):
+    comp = {"weight": 1.0, "mean": mean, "cov": cov}
+    return mixture_from_dict({"dim": 2, "components": [comp]})
+
+
+# (label, argument name in the message, good value, build from a value)
+ARGUMENTS = [
+    ("MotionModel", "transition", I2, lambda v: MotionModel(v, I2)),
+    ("MotionModel", "process_noise", I2, lambda v: MotionModel(I2, v)),
+    ("SpawnTerm", "transition", I2, lambda v: SpawnTerm(0.1, v, [0.0, 0.0], I2)),
+    ("SpawnTerm", "offset", np.zeros(2), lambda v: SpawnTerm(0.1, I2, v, I2)),
+    ("SpawnTerm", "noise", I2, lambda v: SpawnTerm(0.1, I2, [0.0, 0.0], v)),
+    ("MeasModel", "observation", I2, lambda v: MeasModel(v, I2)),
+    ("MeasModel", "noise", I2, lambda v: MeasModel(I2, v)),
+    ("MeasModel", "clutter_region", [[0.0, 1.0], [0.0, 1.0]], lambda v: MeasModel(I2, I2, 1.0, v)),
+    ("DetectionTerm", "center", np.zeros(2), lambda v: DetectionTerm(1.0, v, I2, I2)),
+    ("DetectionTerm", "cov", I2, lambda v: DetectionTerm(1.0, np.zeros(2), v, I2)),
+    ("DetectionTerm", "projection", I2, lambda v: DetectionTerm(1.0, np.zeros(2), I2, v)),
+    ("DetectionTerm.at", "center", np.zeros(2), lambda v: DetectionTerm(1.0, np.zeros(2), I2, I2).at(v)),
+    ("Gaussian", "mean", np.zeros(2), lambda v: Gaussian(v, I2)),
+    ("Gaussian", "cov", I2, lambda v: Gaussian(np.zeros(2), v)),
+    ("GaussianMixture", "weights", [1.0], lambda v: GaussianMixture(v, [[0.0, 0.0]], [I2])),
+    ("GaussianMixture", "means", [[0.0, 0.0]], lambda v: GaussianMixture([1.0], v, [I2])),
+    ("GaussianMixture", "covs", [I2], lambda v: GaussianMixture([1.0], [[0.0, 0.0]], v)),
+    ("TruthTarget", "state", np.zeros(4), lambda v: TruthTarget(1, None, v)),
+    ("mixture_from_dict", "components[0].mean", [0.0, 0.0], lambda v: _doc(mean=v)),
+    ("mixture_from_dict", "components[0].cov", I2.tolist(), lambda v: _doc(cov=v)),
+]
+
+# Arguments whose size is free, so that only a sibling can find it wrong.
+FREE_SIZE = {"MeasModel.observation", "Gaussian.mean", "GaussianMixture.weights", "TruthTarget.state"}
+BAD = {
+    "nan": lambda good: np.full(np.shape(good), np.nan),
+    "shape": lambda good: np.concatenate([good, np.asarray(good)[:1]]),
+    "ndim": lambda good: np.asarray(good)[None],
+}
+CASES = [
+    pytest.param(name, good, build, kind, id=f"{label}.{name}-{kind}")
+    for label, name, good, build in ARGUMENTS
+    for kind in BAD
+    if not (kind == "shape" and f"{label}.{name}" in FREE_SIZE)
+    # Weights are raveled, so any nesting of them is as good as a vector.
+    and not (kind == "ndim" and name == "weights")
+]
+
+
+@pytest.mark.parametrize("name, good, build, kind", CASES)
+def test_bad_array_is_rejected_by_argument_name(name, good, build, kind):
+    build(good)
+    with pytest.raises(ValueError, match=rf"(^|\W){re.escape(name)}"):
+        build(BAD[kind](good))
+
+
+def test_noise_may_be_singular_only_for_motion_and_spawn():
+    singular = np.array([[1.0, 0.0], [0.0, 0.0]])
+    assert np.array_equal(MotionModel(I2, singular).process_noise, singular)
+    assert np.array_equal(SpawnTerm(0.1, I2, [0.0, 0.0], singular).noise, singular)
+    assert np.array_equal(SpawnTerm(0.1, I2, [0.0, 0.0], np.zeros((2, 2))).noise, np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="not positive semidefinite"):
+        SpawnTerm(0.1, I2, [0.0, 0.0], [[1.0, 0.0], [0.0, -1e-3]])
+    with pytest.raises(ValueError, match="not positive definite"):
+        MeasModel(I2, singular)
+    with pytest.raises(ValueError, match="not positive definite"):
+        DetectionTerm(1.0, np.zeros(2), singular, I2)
+    with pytest.raises(ConfigError, match="^meas_noise: .*not positive definite"):
+        ScenarioConfig(meas_noise=singular)
+    with pytest.raises(ConfigError, match="^detection_shape: .*not positive definite"):
+        ScenarioConfig(detection_shape=[[3e6, 0.0], [0.0, 0.0]])
+    # Process noise may be singular in the config too: a noiseless motion.
+    assert not ScenarioConfig(process_noise=np.zeros((4, 4))).process_noise.any()
+
+
+def test_near_symmetric_matrix_is_accepted_and_symmetrized():
+    near = np.array([[2.0, 0.5], [0.5 + 5e-10, 3.0]])
+    for cov in (
+        MotionModel(I2, near).process_noise,
+        SpawnTerm(0.1, I2, [0.0, 0.0], near).noise,
+        MeasModel(I2, near).noise,
+        DetectionTerm(1.0, np.zeros(2), near, I2).cov,
+        Gaussian(np.zeros(2), near).cov,
+        GaussianMixture([1.0], [[0.0, 0.0]], [near]).covs[0],
+        _doc(cov=near.tolist()).covs[0],
+    ):
+        assert np.array_equal(cov, cov.T)
+        assert np.array_equal(cov, 0.5 * (near + near.T))
+        assert not cov.flags.writeable
+    with pytest.raises(ValueError, match="not symmetric"):
+        MotionModel(I2, [[2.0, 0.5], [0.5 + 1e-6, 3.0]])
+
+
+def test_config_names_a_non_square_transition_itself():
+    # The motion model is built under process_noise's name, so the config
+    # judges the transition's shape first.
+    with pytest.raises(ConfigError, match=r"^transition: "):
+        ScenarioConfig(transition=[[1, 2, 3]])

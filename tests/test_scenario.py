@@ -24,7 +24,7 @@ from ppdiv import (
     step_truth,
 )
 from ppdiv.gaussmix import log_gauss
-from ppdiv.pointprocess import RngStream
+from ppdiv.pointprocess import MAX_POISSON_MEAN, RngStream, sample_poisson_counts
 from ppdiv.scenario import in_area
 
 
@@ -272,6 +272,18 @@ def test_config_validation_errors_name_the_field():
         ScenarioConfig(meas_noise=[[9.0, 1.0], [0.0, 9.0]])
     with pytest.raises(ConfigError, match="^detection_shape: .*not positive definite"):
         ScenarioConfig(detection_shape=[[1.0, 2.0], [2.0, 1.0]])
+
+
+def test_clutter_mass_beyond_the_poisson_table_is_rejected_at_load():
+    # Each scan draws one Poisson count of mean rate x area volume; beyond
+    # the table's limit every run used to fail at step 1 naming no field.
+    with pytest.raises(ConfigError, match=r"^clutter_rate: rate x area volume is 5000000\.0 "):
+        config_from_dict({"clutter_rate": 5.0, "horizon": 2})
+    edge = ScenarioConfig(clutter_rate=MAX_POISSON_MEAN / 1e6)
+    assert edge.clutter_mass == MAX_POISSON_MEAN
+    assert sample_poisson_counts(RngStream(3), edge.clutter_mass, 1)[0] > 0
+    with pytest.raises(ConfigError, match="^clutter_rate: "):
+        ScenarioConfig(clutter_rate=np.nextafter(MAX_POISSON_MEAN / 1e6, 2.0))
 
 
 # Matrix fields whose JSON null means "use the default".
