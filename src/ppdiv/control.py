@@ -15,21 +15,21 @@ Out-of-area candidates score -inf and can never win; ties go to the earliest
 candidate in grid order (stay put, then increasing ring radius, then
 increasing angle index), which makes selection fully deterministic.
 
-The reward is D_CS = (k/2) ||u - v||^2 = (k/2) (<u,u> + <v,v> - 2 <u,v>)
-with u the predicted and v the hypothetical posterior intensity, k = 1, and
-every inner product a double sum of Gaussian pair terms N(m_i; m_j, C_i + C_j).
-At one step every candidate's posterior has the same covariances: the
-predicted P_i in the missed block and, in each detection block, the p2_i
-that conditions P_i on the detection term's fixed shape and then on the
-measurement noise.  The sensor position moves only weights and means.  So
-the scorer factors P_i + P_j, P_i + p2_j and p2_i + p2_j once per step and,
-per candidate, evaluates only the mean-dependent Mahalanobis terms between
-its nonzero-weight components, then assembles <v,v> and <u,v> and passes
-them to csd_terms.  <u,u> = w' G w comes once per step from the predicted
-Gram G_ij = N(m_i; m_j, P_i + P_j), built by gaussmix.pairwise_log_inner,
-the one evaluator of Gaussian pair tables, on one triangle in blocks of 2**16
-pairs.  The factors of p2_i + p2_j are exactly symmetric in i and j too, so
-they are taken on one triangle as well.
+The reward is D_CS = (k/2) ||u - v||^2, k = 1, with u the predicted and v
+the hypothetical posterior intensity.  The missed block of v reuses u's
+components, so u - v has weights c = w - w_missed on u's components and -d on
+v's nonzero-weight detection components, and ||u - v||^2 = c' G_pp c -
+2 c' G_pd d + d' G_dd d over Gaussian pair tables N(m_i; m_j, C_i + C_j);
+divergence.csd_from_sq_distance turns it into D_CS.  At one step every
+candidate's posterior has the same covariances: the predicted P_i in the
+missed block and, in each detection block, the p2_i that conditions P_i on
+the detection term's fixed shape and then on the measurement noise.  The
+sensor position moves only weights and means.  So G_pp comes once per step
+from gaussmix.pairwise_log_inner, the one evaluator of Gaussian pair tables
+(on one triangle, in blocks of 2**16 pairs), the factors of P_i + p2_j and
+p2_i + p2_j are taken once per step (the latter on one triangle, as they are
+exactly symmetric), and each candidate evaluates only the mean-dependent
+Mahalanobis terms of G_pd and G_dd.
 ``reward`` keeps the direct route (phd_update and three mixture inner
 products per position): it is the reference the scorer is tested against.
 """
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gaussmix
-from .divergence import csd_terms
+from .divergence import csd_from_sq_distance
 from .gaussmix import GaussianMixture, gauss_factor, log_gauss_factored, mixture_inner
 from .gmphd import phd_update, phd_update_at_centers
 from .pointprocess import PointPattern
@@ -90,11 +90,13 @@ def _score(
 ) -> tuple[np.ndarray, list[GaussianMixture | None]]:
     """Rewards and posterior previews of every candidate position.
 
-    The hypothetical update runs once for all in-area candidates, and the
-    Gaussian pair tables of csd_terms' inner products are built from
-    covariance factors shared by all of them: the posteriors' covariances do
-    not depend on the position (see CenteredUpdates).  Out-of-area
-    candidates score -inf with no preview.
+    The hypothetical update runs once for all in-area candidates.  Each
+    reward is (1/2) ||u - v||^2 over the predicted components (weights
+    w - w_missed) and the candidate's detection components (weights -d), and
+    its Gaussian pair tables are built from covariance factors shared by all
+    candidates: the posteriors' covariances do not depend on the position
+    (see CenteredUpdates).  Out-of-area candidates score -inf with no
+    preview.
     """
     positions = np.asarray(positions, dtype=float).reshape(-1, cfg.meas_dim)
     rewards = np.full(len(positions), -math.inf)
@@ -120,31 +122,23 @@ def _score(
     tri[a, b] = tri[b, a] = np.arange(a.size)
     f_pd = gauss_factor(p[:, None] + p2[None, :])
     f_dd = gauss_factor(p2[a] + p2[b])
-    uu = float(w @ g_pp @ w)
     for t, index in enumerate(inside):
         previews[index] = update.posterior(t)
-        w_missed = update.missed[t][keep]
+        c = w - update.missed[t][keep]
         w_det = update.detected[t][:, keep]
-        im = np.flatnonzero(w_missed > 0.0)
         dz, dj = np.nonzero(w_det > 0.0)
-        w_post = np.concatenate([w_missed[im], w_det[dz, dj]])
-        vv = uv = 0.0
-        if w_post.size:
-            md = update.means[t][:, keep][dz, dj]
-            g_pd = np.exp(
-                log_gauss_factored(m[:, None] - md[None], (f_pd[0][:, dj], f_pd[1][:, dj]))
-            )
-            # The detection-pair table is symmetric too: one triangle again.
-            da, db = np.triu_indices(dj.size)
-            pair = tri[dj[da], dj[db]]
-            g_dd = np.empty((dj.size, dj.size))
-            g_dd[da, db] = g_dd[db, da] = np.exp(
-                log_gauss_factored(md[da] - md[db], (f_dd[0][pair], f_dd[1][pair]))
-            )
-            g_post = np.block([[g_pp[np.ix_(im, im)], g_pd[im]], [g_pd[im].T, g_dd]])
-            vv = float(w_post @ g_post @ w_post)
-            uv = float(w @ np.concatenate([g_pp[:, im], g_pd], axis=1) @ w_post)
-        rewards[index] = csd_terms(1.0, uu, vv, uv)
+        d = w_det[dz, dj]
+        md = update.means[t][:, keep][dz, dj]
+        g_pd = np.exp(log_gauss_factored(m[:, None] - md[None], (f_pd[0][:, dj], f_pd[1][:, dj])))
+        # The detection-pair table is symmetric too: one triangle again.
+        da, db = np.triu_indices(dj.size)
+        pair = tri[dj[da], dj[db]]
+        g_dd = np.empty((dj.size, dj.size))
+        g_dd[da, db] = g_dd[db, da] = np.exp(
+            log_gauss_factored(md[da] - md[db], (f_dd[0][pair], f_dd[1][pair]))
+        )
+        sq = c @ g_pp @ c - 2.0 * (c @ g_pd @ d) + d @ g_dd @ d
+        rewards[index] = csd_from_sq_distance(1.0, sq)
     return rewards, previews
 
 
@@ -174,11 +168,11 @@ def reward(
     posterior = phd_update(
         predicted, z_star, detection_profile(cfg, position), cfg.planning_model
     )
-    return csd_terms(
+    return csd_from_sq_distance(
         1.0,
-        mixture_inner(predicted, predicted),
-        mixture_inner(posterior, posterior),
-        mixture_inner(predicted, posterior),
+        mixture_inner(predicted, predicted)
+        + mixture_inner(posterior, posterior)
+        - 2.0 * mixture_inner(predicted, posterior),
     )
 
 

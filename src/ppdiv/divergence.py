@@ -107,20 +107,18 @@ class MixturePoissonModel:
         return self.components[0][1].unit
 
 
-def _check_pair(a, b) -> None:
+def check_pair(a, b) -> None:
+    """ValueError unless processes ``a`` and ``b`` share dimension and unit."""
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     if a.unit != b.unit:
         raise ValueError(f"unit mismatch: {a.unit} vs {b.unit}")
 
 
-def csd_terms(k: float, uu: float, vv: float, uv: float) -> float:
-    """Assemble D_CS from precomputed intensity inner products.
-
-    Split out so callers that reuse <u,u> across many candidate v (the
-    controller does) produce bit-identical values to csd_poisson_gm.
-    """
-    return _clamp_roundoff(k * (0.5 * uu + 0.5 * vv - uv))
+def csd_from_sq_distance(k: float, sq: float) -> float:
+    """D_CS = (k/2) ||u - v||^2 from the squared L2 distance ``sq`` between
+    the intensities; every Gaussian-mixture route assembles it here."""
+    return _clamp_roundoff(k * (0.5 * sq))
 
 
 def csd_poisson_gm(a: PoissonModel, b: PoissonModel) -> float:
@@ -129,13 +127,10 @@ def csd_poisson_gm(a: PoissonModel, b: PoissonModel) -> float:
     Symmetric, zero iff the intensities coincide, linear in the unit
     hyper-volume k.
     """
-    _check_pair(a, b)
+    check_pair(a, b)
     u, v = a.intensity, b.intensity
-    return csd_terms(
-        a.unit.k,
-        mixture_inner(u, u),
-        mixture_inner(v, v),
-        mixture_inner(u, v),
+    return csd_from_sq_distance(
+        a.unit.k, mixture_inner(u, u) + mixture_inner(v, v) - 2.0 * mixture_inner(u, v)
     )
 
 
@@ -177,7 +172,7 @@ def csd_poisson_mixture(fa: MixturePoissonModel, fb: MixturePoissonModel) -> flo
     log-sums are combined in log space.  With one component of weight 1 on
     each side this reduces exactly to csd_poisson_gm.
     """
-    _check_pair(fa, fb)
+    check_pair(fa, fb)
     parts = [model.intensity for _, model in fa.components + fb.components]
     keep = [u.weights > 0.0 for u in parts]
     w = np.concatenate([u.weights[kept] for u, kept in zip(parts, keep)])
@@ -210,7 +205,7 @@ def bhatt_poisson_gaussian(a: PoissonModel, b: PoissonModel) -> float:
     Equals the squared Hellinger distance between the intensity measures;
     independent of the unit hyper-volume.
     """
-    _check_pair(a, b)
+    check_pair(a, b)
     for name, model in (("a", a), ("b", b)):
         if len(model.intensity) != 1:
             raise ValueError(

@@ -25,7 +25,7 @@ import math
 import numpy as np
 from scipy.special import logsumexp
 
-from .divergence import MixturePoissonModel, PoissonModel
+from .divergence import MixturePoissonModel, PoissonModel, check_pair
 from .gaussmix import BLOCK, GaussianMixture, mixture_log_eval
 
 MAX_MC_MASS = 5.0
@@ -256,10 +256,7 @@ def mc_inner_product(rng: RngStream, a, b, n: int) -> tuple[float, float]:
     """
     if n < 2:
         raise ValueError("need at least 2 samples for a standard error")
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    if a.unit != b.unit:
-        raise ValueError(f"unit mismatch: {a.unit} vs {b.unit}")
+    check_pair(a, b)
     counts, points, owner = _sample_pattern_batch(rng, a, n)
     vals = np.exp(_log_density_batch(b, counts, points, owner))
     est = float(vals.mean())

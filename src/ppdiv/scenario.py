@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -203,9 +203,10 @@ def _default_truth_script() -> tuple:
 
 def _detection_term(shape: np.ndarray, observation: np.ndarray) -> DetectionTerm:
     """p_D's one term, weight 1/N(0; 0, S) so that it peaks at exactly 1,
-    centred at the origin; detection_profile moves it to the sensor."""
-    peak = float(np.exp(-log_gauss(np.zeros(2), shape)))
-    return DetectionTerm(peak, np.zeros(2), shape, observation)
+    centred at the origin; detection_profile moves it to the sensor.  The
+    term judges ``shape`` before the peak weight is computed from it."""
+    term = DetectionTerm(1.0, np.zeros(2), shape, observation)
+    return replace(term, weight=float(np.exp(-log_gauss(np.zeros(2), term.cov))))
 
 
 @dataclass(frozen=True, eq=False)

@@ -23,7 +23,7 @@ from ppdiv import (
     mixture_inner,
     mixture_scale,
 )
-from ppdiv.pointprocess import RngStream, mc_csd
+from ppdiv.pointprocess import RngStream, mc_csd, mc_inner_product
 from ppdiv.validate import random_mixture
 
 
@@ -79,6 +79,39 @@ def test_csd_mismatches_raise():
     c = single_gaussian_model(1.0, [0.0], 1.0, k=2.0)
     with pytest.raises(ValueError):
         csd_poisson_gm(a, c)
+    # Every route that pairs two processes judges them with one checker.
+    def mixed(x, y):
+        return csd_poisson_mixture(MixturePoissonModel(((1.0, x),)), MixturePoissonModel(((1.0, y),)))
+
+    for route in (
+        csd_poisson_gm,
+        bhatt_poisson_gaussian,
+        mixed,
+        lambda x, y: mc_inner_product(RngStream(0), x, y, 2),
+    ):
+        with pytest.raises(ValueError, match=r"^dimension mismatch: 1 vs 2$"):
+            route(a, b)
+        with pytest.raises(ValueError, match=r"^unit mismatch: "):
+            route(a, c)
+
+
+@pytest.mark.parametrize("k", [1.0, 0.37, 2.5])
+def test_csd_is_assembled_as_before_from_the_three_inner_products(k):
+    # (k/2) ||u - v||^2 from <u,u> + <v,v> - 2 <u,v> gives the same bits as
+    # k (<u,u>/2 + <v,v>/2 - <u,v>): the factors 1/2 and 2 are exact.
+    rng = RngStream(16)
+    masses = 10.0 ** np.linspace(-1.0, 3.0, 5)
+    for case, (dim, mass_u, mass_v) in enumerate(
+        (dim, mu, mv) for dim in (1, 2, 3, 4) for mu in masses for mv in masses
+    ):
+        u = random_mixture(rng.child(2 * case), dim, 3, mass_u)
+        v = random_mixture(rng.child(2 * case + 1), dim, 4, mass_v)
+        unit = HyperVolumeUnit(k)
+        for a, b in ((u, v), (u, u)):
+            x = k * (0.5 * mixture_inner(a, a) + 0.5 * mixture_inner(b, b) - mixture_inner(a, b))
+            want = 0.0 if -1e-10 < x < 0.0 else x
+            got = csd_poisson_gm(PoissonModel(a, unit), PoissonModel(b, unit))
+            assert got == want
 
 
 def test_quadrature_zero_and_agreement():

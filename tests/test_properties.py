@@ -3,8 +3,9 @@ small random Gaussian-mixture intensities in d = 1-3, of log_gauss,
 mixture_inner and csd_poisson_gm against an independent slogdet/solve double
 sum on ill-scaled 4-d covariances, of the rewards a short cs run records
 against the same double sum, of the look-ahead scorer's factored reward on
-random predicted intensities in d = 4, of prune_merge against a
-one-pivot-at-a-time reference, and of phd_update's missed-detection mass.
+random predicted intensities in d = 4, also with weights up to 1.5e4, of
+prune_merge against a one-pivot-at-a-time reference, and of phd_update's
+missed-detection mass.
 
 Examples are derandomized and bounded, so a failure reproduces and the run
 time stays fixed.  Rounding is judged against <u,u> + <v,v>, the size of the
@@ -249,6 +250,29 @@ def test_factored_reward_matches_direct_update(predicted, sensor):
         one, preview = _evaluate_candidate(positions[0], predicted, z_star, DESK)
         assert_same_mixture(preview, previews[0])
         assert abs(one - rewards[0]) <= ROUNDING * scale(predicted, preview)
+
+
+@properties
+@given(
+    predicted_intensities(),
+    arrays(float, 2, elements=st.floats(0.0, 1000.0)),
+    st.sampled_from([1e2, 1e4]),
+)
+def test_factored_reward_matches_direct_update_at_large_weights(predicted, sensor, boost):
+    # Predicted weights up to 1.5e4, where ||u - v||^2 is the small
+    # difference of large pair sums: rounding stays relative to them, and
+    # no in-area reward comes out negative.
+    predicted = GaussianMixture(boost * predicted.weights, predicted.means, predicted.covs)
+    positions = action_positions(sensor, DESK)
+    z_star = ideal_measurements(predicted, DESK.observation, DESK.extraction_threshold)
+    rewards, previews = _score(predicted, z_star, positions, DESK)
+    for position, value, preview in zip(positions, rewards, previews):
+        want = reward(position, predicted, z_star, DESK)
+        if want == -np.inf:
+            assert value == -np.inf
+            continue
+        assert value >= 0.0
+        assert abs(value - want) <= ROUNDING * scale(predicted, preview)
 
 
 # ---------------------------------------------------------------------------

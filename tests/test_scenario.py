@@ -274,6 +274,15 @@ def test_config_validation_errors_name_the_field():
         ScenarioConfig(detection_shape=[[1.0, 2.0], [2.0, 1.0]])
 
 
+@pytest.mark.parametrize("shape", [[[1.0, 2.0], [2.0, 1.0]], [[1.0, 0.0], [0.0, 0.0]]])
+def test_detection_shape_is_judged_before_its_peak_is_computed(shape):
+    # The covariance checker's words, not those of the kernel that would
+    # evaluate N(0; 0, S) on an indefinite or singular S.
+    with pytest.raises(ConfigError) as error:
+        ScenarioConfig(detection_shape=shape)
+    assert str(error.value) == "detection_shape: covariance is not positive definite"
+
+
 def test_clutter_mass_beyond_the_poisson_table_is_rejected_at_load():
     # Each scan draws one Poisson count of mean rate x area volume; beyond
     # the table's limit every run used to fail at step 1 naming no field.
