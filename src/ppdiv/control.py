@@ -32,12 +32,14 @@ exactly symmetric), and each candidate evaluates only the mean-dependent
 Mahalanobis terms of G_pd and G_dd.
 ``reward`` keeps the direct route (phd_update and three mixture inner
 products per position): it is the reference the scorer is tested against.
+The scorer returns rewards only; select_action runs phd_update once, at the
+chosen position, for the one posterior preview it hands back.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -56,8 +58,8 @@ from .scenario import (
 
 @dataclass(frozen=True)
 class ActionEvaluation:
-    """Score of one candidate position; reward is -inf iff out of area,
-    in which case no posterior preview is available."""
+    """Score of one candidate position; reward is -inf iff out of area.  Only
+    select_action's chosen candidate carries a posterior preview, else None."""
 
     action_index: int
     candidate_position: np.ndarray
@@ -87,30 +89,26 @@ def _score(
     z_star: PointPattern,
     positions: np.ndarray,
     cfg: ScenarioConfig,
-) -> tuple[np.ndarray, list[GaussianMixture | None]]:
-    """Rewards and posterior previews of every candidate position.
+) -> np.ndarray:
+    """Reward of every candidate position; no posterior is built.
 
     The hypothetical update runs once for all in-area candidates.  Each
     reward is (1/2) ||u - v||^2 over the predicted components (weights
     w - w_missed) and the candidate's detection components (weights -d), and
     its Gaussian pair tables are built from covariance factors shared by all
     candidates: the posteriors' covariances do not depend on the position
-    (see CenteredUpdates).  Out-of-area candidates score -inf with no
-    preview.
+    (see CenteredUpdates).  Out-of-area candidates score -inf.
     """
     positions = np.asarray(positions, dtype=float).reshape(-1, cfg.meas_dim)
     rewards = np.full(len(positions), -math.inf)
-    previews: list[GaussianMixture | None] = [None] * len(positions)
     inside = np.flatnonzero([in_area(p, cfg) for p in positions])
     if inside.size == 0:
-        return rewards, previews
+        return rewards
     update = phd_update_at_centers(
         predicted, z_star, cfg.detection_term, positions[inside], cfg.planning_model
     )
-    # Zero-weight predicted components carry zero weight into every block.
-    keep = predicted.weights > 0.0
-    w, m, p = predicted.weights[keep], predicted.means[keep], predicted.covs[keep]
-    p2 = update.covs[keep]
+    # A zero-weight predicted component gets c = 0 and detection weights 0.
+    w, m, p, p2 = predicted.weights, predicted.means, predicted.covs, update.covs
     # Pair tables fixed for the step: N(m_i; m_j, P_i + P_j), and the factors
     # of P_i + p2_j (predicted by detection) and p2_i + p2_j (detection pairs).
     # The last are exactly symmetric in i and j, so they are factored on one
@@ -123,12 +121,10 @@ def _score(
     f_pd = gauss_factor(p[:, None] + p2[None, :])
     f_dd = gauss_factor(p2[a] + p2[b])
     for t, index in enumerate(inside):
-        previews[index] = update.posterior(t)
-        c = w - update.missed[t][keep]
-        w_det = update.detected[t][:, keep]
-        dz, dj = np.nonzero(w_det > 0.0)
-        d = w_det[dz, dj]
-        md = update.means[t][:, keep][dz, dj]
+        c = w - update.missed[t]
+        dz, dj = np.nonzero(update.detected[t])
+        d = update.detected[t][dz, dj]
+        md = update.means[t][dz, dj]
         g_pd = np.exp(log_gauss_factored(m[:, None] - md[None], (f_pd[0][:, dj], f_pd[1][:, dj])))
         # The detection-pair table is symmetric too: one triangle again.
         da, db = np.triu_indices(dj.size)
@@ -139,7 +135,7 @@ def _score(
         )
         sq = c @ g_pp @ c - 2.0 * (c @ g_pd @ d) + d @ g_dd @ d
         rewards[index] = csd_from_sq_distance(1.0, sq)
-    return rewards, previews
+    return rewards
 
 
 def _evaluate_candidate(
@@ -147,10 +143,9 @@ def _evaluate_candidate(
     predicted: GaussianMixture,
     z_star: PointPattern,
     cfg: ScenarioConfig,
-) -> tuple[float, GaussianMixture | None]:
-    """(reward, posterior preview) of one candidate position."""
-    rewards, previews = _score(predicted, z_star, position, cfg)
-    return float(rewards[0]), previews[0]
+) -> float:
+    """Reward of one candidate position."""
+    return float(_score(predicted, z_star, position, cfg)[0])
 
 
 def reward(
@@ -188,16 +183,20 @@ def select_action(
 
     Returns (chosen position, evaluations for every candidate).  The earliest
     best candidate wins, implementing the smallest-displacement-then-
-    smallest-angle tie-break.
+    smallest-angle tie-break.  The chosen evaluation alone carries a
+    posterior preview, from phd_update at its position.
     """
     candidates = action_positions(s_prev, cfg)
     z_star = ideal_measurements(predicted, cfg.observation, cfg.extraction_threshold)
-    rewards, previews = _score(predicted, z_star, candidates, cfg)
+    rewards = _score(predicted, z_star, candidates, cfg)
     evaluations = [
-        ActionEvaluation(idx, position, value, preview)
-        for idx, (position, value, preview) in enumerate(zip(candidates, rewards, previews))
+        ActionEvaluation(idx, position, value, None)
+        for idx, (position, value) in enumerate(zip(candidates, rewards))
     ]
     best = best_index(evaluations)
     if math.isinf(evaluations[best].reward):
         raise RuntimeError("every candidate position is outside the surveillance area")
+    profile = detection_profile(cfg, candidates[best])
+    preview = phd_update(predicted, z_star, profile, cfg.planning_model)
+    evaluations[best] = replace(evaluations[best], posterior_preview=preview)
     return candidates[best], evaluations

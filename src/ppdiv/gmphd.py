@@ -400,17 +400,6 @@ def _detection_weights(num, clutter):
     return np.where(denom > 0.0, num / np.where(denom > 0.0, denom, 1.0), 0.0)
 
 
-def _posterior(predicted: GaussianMixture, w_missed, w_det, m_det, p_det) -> GaussianMixture:
-    """phd_update's component layout: the missed block, with the predicted
-    means and covariances, then one detection block per measurement, with
-    weights w_det (nz, m), means m_det (nz, m, d) and covariances p_det (m, d, d)."""
-    return GaussianMixture.trusted(
-        np.concatenate([w_missed, w_det.reshape(-1)]),
-        np.concatenate([predicted.means, m_det.reshape(-1, predicted.dim)]),
-        np.concatenate([predicted.covs, np.tile(p_det, (w_det.shape[0], 1, 1))]),
-    )
-
-
 def phd_update(
     predicted: GaussianMixture,
     measurements: PointPattern,
@@ -426,16 +415,16 @@ def phd_update(
     detection masses, each of the latter in [0, 1].
     """
     _check_update(predicted, measurements, meas)
-    if len(predicted) == 0:
-        return GaussianMixture.empty(predicted.dim)
     w_cond, m_cond, p_cond = _condition_on_terms(predicted, detection)
     w_missed = _missed_weights(predicted.weights, w_cond, detection.evaluate(predicted.means))
-    if len(measurements) == 0:
-        return GaussianMixture.trusted(w_missed, predicted.means, predicted.covs)
     z = measurements.points
     qz, m_det, p2 = _kalman(m_cond, p_cond, meas.observation, meas.noise, z)
     w_det = _detection_weights(w_cond[:, None] * qz, clutter_intensity(meas, z))
-    return _posterior(predicted, w_missed, w_det.T, np.swapaxes(m_det, 0, 1), p2)
+    return GaussianMixture.trusted(
+        np.concatenate([w_missed, w_det.T.reshape(-1)]),
+        np.concatenate([predicted.means, np.swapaxes(m_det, 0, 1).reshape(-1, predicted.dim)]),
+        np.concatenate([predicted.covs, np.tile(p2, (len(z), 1, 1))]),
+    )
 
 
 @dataclass(frozen=True)
@@ -449,20 +438,13 @@ class CenteredUpdates:
     measurement noise, none of which depends on c.  Only weights and means
     move with the center: ``missed`` (k, n) holds the missed-block weights,
     ``detected`` (k, nz, n) and ``means`` (k, nz, n, d) the detection blocks',
-    one block per measurement.
+    one block per measurement; only phd_update lays out a posterior.
     """
 
-    predicted: GaussianMixture
     missed: np.ndarray
     detected: np.ndarray
     means: np.ndarray
     covs: np.ndarray
-
-    def posterior(self, t: int) -> GaussianMixture:
-        """The posterior for centers[t], laid out as phd_update lays it out."""
-        return _posterior(
-            self.predicted, self.missed[t], self.detected[t], self.means[t], self.covs
-        )
 
 
 def phd_update_at_centers(
@@ -493,7 +475,6 @@ def phd_update_at_centers(
     qz, m_det, p2 = _kalman(m_cond, p_cond, meas.observation, meas.noise, z)
     w_det = _detection_weights(w_cond[..., None] * qz, clutter_intensity(meas, z))
     return CenteredUpdates(
-        predicted,
         w_missed.T,
         np.transpose(w_det, (1, 2, 0)),
         np.transpose(m_det, (1, 2, 0, 3)),

@@ -103,7 +103,7 @@ def _choose_position(policy, predicted, sensor, cfg, policy_rng):
         admissible = [i for i in range(len(candidates)) if in_area(candidates[i], cfg)]
         index = admissible[int(policy_rng.generator.integers(len(admissible)))]
     z_star = ideal_measurements(predicted, cfg.observation, cfg.extraction_threshold)
-    value, _ = _evaluate_candidate(candidates[index], predicted, z_star, cfg)
+    value = _evaluate_candidate(candidates[index], predicted, z_star, cfg)
     return candidates[index], index, value
 
 

@@ -10,6 +10,7 @@ and c when one set is empty and the other is not.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,15 @@ class OspaParams:
             raise ValueError(f"order must be finite and >= 1, got {self.order!r}")
         if not (self.cutoff > 0.0 and math.isfinite(self.cutoff)):
             raise ValueError(f"cutoff must be finite and > 0, got {self.cutoff!r}")
+        # ospa charges each unmatched point cutoff ** order: a normal float.
+        try:
+            charge = float(self.cutoff) ** float(self.order)
+        except OverflowError:
+            charge = math.inf
+        if not (sys.float_info.min <= charge < math.inf):
+            raise ValueError(
+                f"cutoff ** order must be a normal float, got {self.cutoff!r} ** {self.order!r}"
+            )
 
 
 def optimal_assignment(cost_matrix) -> tuple[np.ndarray, float]:

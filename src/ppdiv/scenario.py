@@ -59,7 +59,7 @@ def _field(name: str, convert, *args):
 
 
 def _number(value, kind, test, requirement):
-    if not isinstance(value, numbers.Real):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"must be a number, got {value!r}")
     number = kind(value)
     if kind is int and number != value:
@@ -144,7 +144,13 @@ def _cv_transition(t: float) -> np.ndarray:
 
 
 def _cv_process_noise(t: float) -> np.ndarray:
-    a = t**3
+    """Constant-velocity process noise; its largest entry, 27 t**3, must be finite."""
+    try:
+        a = t**3
+    except OverflowError:
+        a = math.inf
+    if not math.isfinite(27.0 * a):
+        raise OverflowError(f"27 * {t!r}**3 in the default process_noise overflows")
     b = t**2 / 54.0
     c = t / 81.0
     return 27.0 * np.array(
@@ -268,7 +274,7 @@ class ScenarioConfig:
         d = f.shape[0]
         if f.shape != (d, d):
             raise ConfigError(f"transition: must be square, got shape {f.shape}")
-        q = put("process_noise", _matrix, _cv_process_noise(t), (d, d))
+        q = put("process_noise", _matrix, _field("step_period", _cv_process_noise, t), (d, d))
         # The filter model that consumes a matrix judges it.
         keep("motion", _field("process_noise", MotionModel, f, q, self.survival_prob))
         h = put("observation", _matrix, np.eye(2, d), (2, d))
@@ -298,7 +304,7 @@ class ScenarioConfig:
                 if not isinstance(item, kind) or dim(item) != d:
                     raise ConfigError(f"{name}[{i}]: must be a {kind.__name__} of dimension {d}")
         keep("births", BirthSpawnModel(self.birth, self.spawn_terms))
-        keep("ospa_params", OspaParams(self.ospa_order, self.ospa_cutoff))
+        keep("ospa_params", _field("ospa_order", OspaParams, self.ospa_order, self.ospa_cutoff))
 
     @property
     def state_dim(self) -> int:

@@ -151,6 +151,15 @@ def test_bad_covariance_exits_two_naming_the_field(tmp_path, capsys, field, valu
         {"area": [[-1e308, 1e308], [0.0, 1000.0]]},
         # A clutter mass beyond what one Poisson count per scan can draw.
         {"clutter_rate": 5.0, "horizon": 2},
+        # A default process noise, 27 step_period**3, that overflows.
+        {"step_period": 1e120},
+        # An OSPA charge, cutoff ** order, that overflows or underflows.
+        {"ospa_order": 200},
+        {"ospa_order": 1100, "ospa_cutoff": 0.5},
+        # JSON booleans are not numbers.
+        {"horizon": True},
+        {"clutter_rate": True},
+        {"truth_script": [{"birth_step": True, "state": [1.0, 1.0, 0.0, 0.0]}]},
     ],
     ids=[
         "null-number",
@@ -165,6 +174,12 @@ def test_bad_covariance_exits_two_naming_the_field(tmp_path, capsys, field, valu
         "overflowing-volume-no-clutter",
         "overflowing-width",
         "clutter-mass-beyond-poisson-table",
+        "overflowing-process-noise",
+        "overflowing-ospa-charge",
+        "underflowing-ospa-charge",
+        "boolean-integer",
+        "boolean-number",
+        "boolean-step",
     ],
 )
 def test_malformed_field_exits_two_naming_it(tmp_path, capsys, doc):

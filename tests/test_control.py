@@ -9,7 +9,9 @@ from ppdiv import (
     GaussianMixture,
     PointPattern,
     ScenarioConfig,
+    detection_profile,
     ideal_measurements,
+    phd_update,
     reward,
     select_action,
 )
@@ -130,7 +132,14 @@ def test_select_action_shape_and_consistency():
     for idx in (0, 5, 11):
         again = reward(evals[idx].candidate_position, u, z, cfg)
         assert evals[idx].reward == pytest.approx(again, rel=1e-12)
-        assert evals[idx].posterior_preview is not None
+    # The chosen candidate alone carries a preview: phd_update's posterior
+    # at its position, bit for bit.
+    preview = evals[best].posterior_preview
+    want = phd_update(u, z, detection_profile(cfg, chosen), cfg.planning_model)
+    assert np.array_equal(preview.weights, want.weights)
+    assert np.array_equal(preview.means, want.means)
+    assert np.array_equal(preview.covs, want.covs)
+    assert all(e.posterior_preview is None for e in evals if e.action_index != best)
     chosen2, evals2 = select_action(u, s_prev, cfg)
     assert np.array_equal(chosen, chosen2)
     assert [e.reward for e in evals] == [e.reward for e in evals2]

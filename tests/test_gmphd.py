@@ -171,6 +171,28 @@ def test_update_no_detection_passthrough():
     assert len(out2) == len(predicted)
 
 
+def test_update_on_empty_inputs():
+    # No early return: an empty predicted intensity gives an empty posterior
+    # of its dimension, and an empty Z the missed block alone, on the
+    # predicted means and covariances bit for bit.
+    rng = RngStream(41)
+    profile = valid_profile_identity(rng.generator, 3, 2)
+    meas = MeasModel(np.eye(3)[:2], np.eye(2), clutter_rate=0.01, clutter_region=None)
+    zs = PointPattern(rng.child(1).generator.normal(size=(2, 2)))
+    for z in (zs, PointPattern.empty(2)):
+        out = phd_update(GaussianMixture.empty(3), z, profile, meas)
+        assert out.weights.shape == (0,)
+        assert out.means.shape == (0, 3) and out.covs.shape == (0, 3, 3)
+    predicted = random_mixture(rng.child(0), 3, 4, 2.0)
+    out = phd_update(predicted, PointPattern.empty(2), profile, meas)
+    assert np.array_equal(out.means, predicted.means)
+    assert np.array_equal(out.covs, predicted.covs)
+    # The missed weights do not depend on Z.
+    full = phd_update(predicted, zs, profile, meas)
+    assert np.array_equal(out.weights, full.weights[: len(predicted)])
+    assert 0.0 < mixture_mass(out) < mixture_mass(predicted)
+
+
 def test_update_kalman_reduction():
     # Unit detection, no clutter, single target: the filter is a Kalman filter.
     gen = np.random.default_rng(19)

@@ -127,6 +127,20 @@ def test_ospa_metric_axioms():
         assert dxy <= ospa(x, z, params) + ospa(z, y, params) + 1e-9
 
 
+def test_ospa_params_reject_a_charge_beyond_the_normal_floats():
+    # ospa charges each unmatched point cutoff ** order.  Past the largest
+    # float it raised OverflowError; below the smallest normal one a true
+    # distance of 0.4 read 0.0.
+    with pytest.raises(ValueError, match=r"cutoff \*\* order must be a normal float"):
+        OspaParams(order=200.0)
+    with pytest.raises(ValueError, match=r"got 0\.5 \*\* 1100\.0$"):
+        OspaParams(1100.0, 0.5)
+    # Next to either edge, one unmatched point of two costs half the charge.
+    for order, cutoff in ((154.0, 100.0), (1000.0, 0.5)):
+        got = ospa([[0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]], OspaParams(order, cutoff))
+        assert got == pytest.approx(cutoff * 0.5 ** (1.0 / order), rel=1e-12)
+
+
 def test_ospa_params_validation():
     with pytest.raises(ValueError):
         OspaParams(order=0.5)

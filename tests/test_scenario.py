@@ -322,6 +322,19 @@ def test_integer_fields_take_whole_numbers_only(name):
         assert value == 40 and type(value) is int
 
 
+def test_booleans_are_not_numbers():
+    # bool is a numbers.Real, so JSON true once loaded as 1.
+    with pytest.raises(ConfigError, match=r"^horizon: must be a number, got True$"):
+        config_from_dict({"horizon": True})
+    with pytest.raises(ConfigError, match=r"^clutter_rate: must be a number, got False$"):
+        config_from_dict({"clutter_rate": False})
+    with pytest.raises(
+        ConfigError, match=r"^truth_script\[0\]: death_step must be a number, got True$"
+    ):
+        target = {"birth_step": 0, "death_step": True, "state": [0.0] * 4}
+        config_from_dict({"truth_script": [target]})
+
+
 def test_list_items_are_named_by_index():
     state = [0.0, 0.0, 0.0, 0.0]
     with pytest.raises(ConfigError, match=r"^truth_script\[1\]: missing key 'state'$"):
