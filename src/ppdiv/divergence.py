@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from . import gaussmix
-from .gaussmix import GaussianMixture, HyperVolumeUnit, bhatt_coeff, mixture_inner, mixture_mass
+from .gaussmix import GaussianMixture, HyperVolumeUnit, bhatt_coeff, checked_array, mixture_inner, mixture_mass
 
 _CLAMP_TOL = 1e-10
 
@@ -137,8 +137,8 @@ def csd_poisson_gm(a: PoissonModel, b: PoissonModel) -> float:
 def _grid_samples(u_values, v_values, cell_volume) -> tuple[np.ndarray, np.ndarray, float]:
     """Two intensities' samples on one grid, as flat float arrays of one
     shape, and the grid's cell volume, finite and > 0; or ValueError."""
-    u_values = np.asarray(u_values, dtype=float).reshape(-1)
-    v_values = np.asarray(v_values, dtype=float).reshape(-1)
+    u_values = checked_array(np.ravel(u_values), (None,), "u_values")
+    v_values = checked_array(np.ravel(v_values), (None,), "v_values")
     if u_values.shape != v_values.shape:
         raise ValueError(f"sample shape mismatch: {u_values.shape} vs {v_values.shape}")
     cell_volume = float(cell_volume)

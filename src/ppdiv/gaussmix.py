@@ -195,55 +195,34 @@ class GaussianMixture:
 # batched Gaussian evaluation
 
 
-def _dot(pairs, out: np.ndarray, scratch: list[np.ndarray], level: int = 0) -> np.ndarray:
-    """sum_j a_j b_j over the (a_j, b_j) ``pairs``, into ``out``, as the
-    even-indexed terms' sum plus the odd-indexed terms' sum, each folded the
-    same way: t0 + t1, (t0 + t2) + t1, (t0 + t2) + (t1 + t3), ...  The odd
-    half goes into ``scratch[level]``; arrays missing from ``scratch`` are
-    appended, about log2(len(pairs)) of them in all."""
-    if len(pairs) == 1:
-        return np.multiply(*pairs[0], out=out)
-    _dot(pairs[::2], out, scratch, level)
-    if len(scratch) == level:
-        scratch.append(np.empty_like(out))
-    _dot(pairs[1::2], scratch[level], scratch, level + 1)
-    return np.add(out, scratch[level], out=out)
-
-
 def _maha(chol: np.ndarray, diffs: np.ndarray) -> np.ndarray:
     """Squared Mahalanobis norms diff' C^-1 diff for batched lower Cholesky
     factors L of C (..., d, d) and diffs (..., d), by solving L y = diff.
 
     d is small (<= 4 in the tracking scenario), so the solve runs row by row,
     each step one elementwise operation over the whole batch, on the factor
-    entries L[..., i, j] and on contiguous rows y_i, in place.
-
-    Each sum (a row's L_ij y_j, and the final sum of the y_i^2) goes through
-    ``_dot``.  For 2 to 4 terms its order, t0 + t1, (t0 + t2) + t1 and
-    (t0 + t2) + (t1 + t3), is the one numpy's ``einsum`` adds so short a
-    contraction in (the halves of a SIMD register folded together; numpy 2.4
-    on x86-64 with AVX-512).  The pinned byte-identical CSVs, the filter's
-    rewards and the oracle values were first computed with an ``einsum``
-    solve, and floating-point addition is not associative, so any other order
-    moves the last bit of some of them.  From d = 5 on the fold goes on the
-    same way, which need not match ``einsum`` bit for bit; no caller has
-    d >= 5.
+    entries L[..., i, j] and on contiguous rows y_i, in place.  Every sum (a
+    row's L_ij y_j, and the final sum of the y_i^2) adds its terms left to
+    right, at any d; elementwise products and sums round the same in every
+    batch layout, so each value is a function of its own L and diff alone.
     """
     d = chol.shape[-1]
     shape = np.broadcast_shapes(chol.shape[:-2], diffs.shape[:-1])
     y = np.empty((d,) + shape)
-    rows = [y[i, ...] for i in range(d)]
-    scratch = []
-    for i, yi in enumerate(rows):
+    term = np.empty(shape) if d >= 3 else None
+    for i in range(d):
+        yi = y[i, ...]
         if i:
-            _dot([(chol[..., i, j], rows[j]) for j in range(i)], yi, scratch)
-        acc = np.subtract(diffs[..., i], yi, out=yi) if i else diffs[..., 0]
-        np.divide(acc, chol[..., i, i], out=yi)
-    # Up to d = 4 in place: each square lands on y_0 or on a row of the upper
-    # half, after the row it overwrites has been read.  Beyond, the solve's
-    # scratch is free again.
-    fold = rows[(d + 1) // 2 :] if d <= 4 else scratch
-    return _dot([(yi, yi) for yi in rows], rows[0], fold)
+            np.multiply(chol[..., i, 0], y[0, ...], out=yi)
+            for j in range(1, i):
+                yi += np.multiply(chol[..., i, j], y[j, ...], out=term)
+            np.subtract(diffs[..., i], yi, out=yi)
+        np.divide(yi if i else diffs[..., 0], chol[..., i, i], out=yi)
+    # In place: each row is squared after the solve has read it for the last time.
+    total = np.square(y[0, ...], out=y[0, ...])
+    for i in range(1, d):
+        total += np.square(y[i, ...], out=y[i, ...])
+    return total
 
 
 def gauss_factor(covs) -> tuple[np.ndarray, np.ndarray]:

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from .gaussmix import checked_array
+
 
 @dataclass(frozen=True)
 class OspaParams:
@@ -54,18 +56,20 @@ def optimal_assignment(cost_matrix) -> tuple[np.ndarray, float]:
     return pairs, float(cost[rows, cols].sum())
 
 
-def _as_points(x) -> np.ndarray:
-    pts = x.points if hasattr(x, "points") else np.asarray(x, dtype=float)
-    pts = np.asarray(pts, dtype=float)
+def _as_points(x, what: str) -> np.ndarray:
+    """``x`` as an (n, d) array of finite points, a 1-D ``x`` being one point
+    and an empty ``x`` of any shape no points; or a ValueError naming
+    ``what``."""
+    pts = np.asarray(x.points if hasattr(x, "points") else x)
     if pts.size == 0:
-        return pts.reshape(0, pts.shape[1] if pts.ndim == 2 else 0)
-    return np.atleast_2d(pts)
+        return np.zeros((0, pts.shape[1] if pts.ndim == 2 else 0))
+    return checked_array(np.atleast_2d(pts), (None, None), what)
 
 
 def ospa(x, y, params: OspaParams = OspaParams()) -> float:
     """OSPA distance between two point sets (PointPattern or (n, d) arrays)."""
-    a = _as_points(x)
-    b = _as_points(y)
+    a = _as_points(x, "x")
+    b = _as_points(y, "y")
     if len(a) > len(b):
         a, b = b, a
     m, n = len(a), len(b)

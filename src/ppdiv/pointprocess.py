@@ -148,7 +148,6 @@ def _sample_points(gen: np.random.Generator, intensity: GaussianMixture, total: 
     cdf = np.cumsum(w)
     cdf /= cdf[-1]
     comp = np.searchsorted(cdf, gen.random(total), side="right")
-    np.minimum(comp, w.size - 1, out=comp)
     points = gen.standard_normal((total, d))
     rows = max(1, BLOCK // (d * d))
     for lo in range(0, total, rows):
@@ -167,8 +166,7 @@ def _model_components(model) -> list[tuple[float, PoissonModel]]:
 
 def sample_poisson(rng: RngStream, model) -> PointPattern:
     """One realization of the process (mixtures pick a component first)."""
-    counts, points, _ = _sample_pattern_batch(rng, model, 1)
-    del counts
+    _, points, _ = _sample_pattern_batch(rng, model, 1)
     return PointPattern(points, dim=model.dim)
 
 
@@ -187,7 +185,6 @@ def _sample_pattern_batch(rng: RngStream, model, n: int):
         cdf = np.cumsum([w for w, _ in comps])
         cdf /= cdf[-1]
         cidx = np.searchsorted(cdf, gen.random(n), side="right")
-        cidx = np.minimum(cidx, len(comps) - 1)
     counts = np.zeros(n, dtype=int)
     for j, (_, sub) in enumerate(comps):
         mask = cidx == j

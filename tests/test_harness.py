@@ -2,10 +2,15 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ppdiv
 from ppdiv import (
     ScenarioConfig,
     config_from_dict,
@@ -233,7 +238,10 @@ def without_reward(text: str) -> str:
 
 
 def test_fixed_seed_outputs_are_pinned():
-    # The config digest is pinned by test_config_digest_is_pinned.
+    # The config digest is pinned by test_config_digest_is_pinned.  The hashes
+    # hold for numpy dispatching to AVX-512 (X86_V4): its exp and log kernels
+    # round differently at other SIMD levels, which moves the last bits of the
+    # OSPA column (test_decisions_do_not_depend_on_simd_dispatch).
     cfg = short_config(horizon=12)
     runs = {
         (seed, policy): sha256(without_reward(run_csv_text(run_simulation(cfg, seed, policy))))
@@ -242,3 +250,42 @@ def test_fixed_seed_outputs_are_pinned():
     assert runs == PINNED_RUNS
     batches = {p: sha256(mc_csv_text(run_montecarlo(cfg, 3, policy=p))) for p in POLICIES}
     assert batches == PINNED_BATCHES
+
+
+SIMD_RUNS = [(seed, policy) for seed in (0, 1) for policy in POLICIES]
+SIMD_SCRIPT = f"""
+import json
+from ppdiv import ScenarioConfig, run_simulation
+from ppdiv.harness import run_csv_text
+cfg = ScenarioConfig(horizon=12)
+print(json.dumps([run_csv_text(run_simulation(cfg, s, p)) for s, p in {SIMD_RUNS!r}]))
+"""
+
+
+def csv_columns(text: str) -> dict[str, list[str]]:
+    header, *rows = [line.split(",") for line in text.splitlines()]
+    return {name: [row[i] for row in rows] for i, name in enumerate(header)}
+
+
+def test_decisions_do_not_depend_on_simd_dispatch():
+    # numpy picks its exp and log kernels by the CPU's SIMD level, and they
+    # round differently.  Without AVX-512 every action, count and sensor
+    # position must stay byte for byte; OSPA and rewards may move by rounding.
+    src = str(Path(ppdiv.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4", PYTHONPATH=path)
+    command = [sys.executable, "-W", "always::ImportWarning", "-c", SIMD_SCRIPT]
+    result = subprocess.run(command, capture_output=True, text=True, timeout=600, env=env)
+    if "You cannot disable CPU feature" in result.stderr:
+        pytest.skip("numpy does not dispatch to X86_V4 on this machine")
+    assert result.returncode == 0, result.stderr
+    cfg = short_config(horizon=12)
+    for (seed, policy), text in zip(SIMD_RUNS, json.loads(result.stdout), strict=True):
+        there = csv_columns(text)
+        here = csv_columns(run_csv_text(run_simulation(cfg, seed, policy)))
+        assert there.keys() == here.keys()
+        for name in here.keys() - {"reward", "ospa"}:
+            assert there[name] == here[name], (seed, policy, name)
+        np.testing.assert_allclose(
+            np.array(there["ospa"], dtype=float), np.array(here["ospa"], dtype=float), rtol=1e-9, atol=0.0
+        )

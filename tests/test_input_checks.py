@@ -1,6 +1,7 @@
 """Every array from outside is judged by gaussmix's two checkers: the
-filter models, Gaussians, mixtures, truth targets and mixture documents all
-reject bad arrays by argument name, and covariances by one rule."""
+filter models, Gaussians, mixtures, truth targets, mixture documents, grid
+samples and OSPA point sets all reject bad arrays by argument name, and
+covariances by one rule."""
 
 import re
 
@@ -17,7 +18,10 @@ from ppdiv import (
     ScenarioConfig,
     SpawnTerm,
     TruthTarget,
+    csd_poisson_quadrature,
+    hellinger_sq_quadrature,
     mixture_from_dict,
+    ospa,
 )
 
 I2 = np.eye(2)
@@ -118,3 +122,25 @@ def test_config_names_a_non_square_transition_itself():
     # judges the transition's shape first.
     with pytest.raises(ConfigError, match=r"^transition: "):
         ScenarioConfig(transition=[[1, 2, 3]])
+
+
+@pytest.mark.parametrize("route", [csd_poisson_quadrature, hellinger_sq_quadrature])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_grid_samples_must_be_finite(route, bad):
+    good = np.ones((2, 3))
+    spoilt = good.copy()
+    spoilt[1, 2] = bad
+    # Samples of any shape are flattened.
+    assert route(good, 4.0 * good, 0.5) == route(good.ravel(), [4.0] * 6, 0.5)
+    with pytest.raises(ValueError, match=r"^u_values has non-finite entries"):
+        route(spoilt, good, 0.5)
+    with pytest.raises(ValueError, match=r"^v_values has non-finite entries"):
+        route(good, spoilt, 0.5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_ospa_points_must_be_finite(bad):
+    with pytest.raises(ValueError, match=r"^x has non-finite entries"):
+        ospa([[bad, 0.0]], [[1.0, 0.0]])
+    with pytest.raises(ValueError, match=r"^y has non-finite entries"):
+        ospa([[1.0, 0.0], [2.0, 0.0]], [bad, 0.0])

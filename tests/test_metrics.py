@@ -57,6 +57,11 @@ def test_ospa_empty_conventions():
     assert ospa(empty, empty) == 0.0
     assert ospa(empty, one) == pytest.approx(100.0)
     assert ospa(one, empty) == pytest.approx(100.0)
+    # An empty set of any shape has no points, and a 1-D array is one point.
+    for other_empty in ([], [[]], np.zeros((0, 3, 2))):
+        assert ospa(other_empty, empty) == 0.0
+        assert ospa(other_empty, one) == pytest.approx(100.0)
+    assert ospa([0.0, 0.0], one) == 5.0
 
 
 def test_ospa_identity_and_permutation():
