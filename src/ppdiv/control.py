@@ -30,10 +30,32 @@ from gaussmix.pairwise_log_inner, the one evaluator of Gaussian pair tables
 p2_i + p2_j are taken once per step (the latter on one triangle, as they are
 exactly symmetric), and each candidate evaluates only the mean-dependent
 Mahalanobis terms of G_pd and G_dd.
+
+Most detection components are far too light to move a reward's bits, so
+each candidate drops its lightest ones under a proven bound before any pair
+work.  Since det(A + B) >= det(B) for A positive semidefinite and B positive
+definite, every term of G_pd or G_dd on detection component j is at most
+its peak h_j = N(0; 0, p2_j) = (2 pi)^(-d/2) det(p2_j)^(-1/2).  Split the
+candidate's detection weights as d = d_K + d_D (kept plus dropped), with
+W = sum d and r_j = d_j h_j.  The dropped terms are
+
+    sq_full - sq_kept = -2 c' G_pd d_D + 2 d_K' G_dd d_D + d_D' G_dd d_D,
+
+so |sq_full - sq_kept| <= 2 (|c|_1 + W) sum_{j in D} r_j; the 1-norm because
+the missed-mass spread can make c negative.  The smallest r_j are dropped
+for as long as that bound stays below eps c' G_pp c, eps the machine
+epsilon: one rounding of c' G_pp c, a term the sum computes anyway, already
+moves it by up to half of that, so the dropped terms stay below the last
+bit the reward's own terms carry.  The factors of P_i + p2_j and
+p2_i + p2_j are then taken only over U, the union of the components some
+candidate keeps, and each candidate evaluates G_pd and G_dd over its own
+kept set: the same quadratic form over fewer terms, with no threshold to
+set.
 ``reward`` keeps the direct route (phd_update and three mixture inner
-products per position): it is the reference the scorer is tested against.
-The scorer returns rewards only; select_action runs phd_update once, at the
-chosen position, for the one posterior preview it hands back.
+products per position, every term kept): it is the reference the scorer is
+tested against.  The scorer returns rewards only; select_action runs
+phd_update once, at the chosen position, for the one posterior preview it
+hands back.
 """
 
 from __future__ import annotations
@@ -46,7 +68,7 @@ import numpy as np
 from . import gaussmix
 from .divergence import csd_from_sq_distance
 from .gaussmix import GaussianMixture, gauss_factor, log_gauss_factored, mixture_inner
-from .gmphd import phd_update, phd_update_at_centers
+from .gmphd import CenteredUpdates, phd_update, phd_update_at_centers
 from .pointprocess import PointPattern
 from .scenario import (
     ScenarioConfig,
@@ -84,6 +106,35 @@ def ideal_measurements(
     return PointPattern(predicted.means[keep] @ observation.T, dim=observation.shape[0])
 
 
+def _kept(
+    predicted: GaussianMixture, update: CenteredUpdates, g_pp: np.ndarray
+) -> list[tuple[np.ndarray, float, np.ndarray, np.ndarray]]:
+    """Per in-area candidate t: (c, c' G_pp c, dz, dj), with (dz, dj) the
+    detection components of ``update.detected[t]`` that its reward keeps.
+
+    Every pair term on detection component j is at most its peak h_j =
+    N(0; 0, p2_j), so the lightest components, by r_j = d_j h_j, are dropped
+    for as long as 2 (|c|_1 + W) sum_dropped r_j stays below eps c' G_pp c
+    (the module docstring derives the bound).  The order is a stable sort,
+    and the kept components stay in the order np.nonzero gives them.  With
+    c' G_pp c = 0 nothing is below the budget, so nothing is dropped.
+    """
+    w, p2 = predicted.weights, update.covs
+    peaks = np.exp(log_gauss_factored(np.zeros(p2.shape[-1]), gauss_factor(p2)))
+    kept = []
+    for missed, detected in zip(update.missed, update.detected):
+        c = w - missed
+        q = c @ g_pp @ c
+        dz, dj = np.nonzero(detected)
+        d = detected[dz, dj]
+        r = d * peaks[dj]
+        order = np.argsort(r, kind="stable")
+        bound = 2.0 * (np.abs(c).sum() + d.sum()) * np.cumsum(r[order])
+        keep = np.sort(order[np.searchsorted(bound, np.finfo(float).eps * q) :])
+        kept.append((c, q, dz[keep], dj[keep]))
+    return kept
+
+
 def _score(
     predicted: GaussianMixture,
     z_star: PointPattern,
@@ -94,10 +145,11 @@ def _score(
 
     The hypothetical update runs once for all in-area candidates.  Each
     reward is (1/2) ||u - v||^2 over the predicted components (weights
-    w - w_missed) and the candidate's detection components (weights -d), and
-    its Gaussian pair tables are built from covariance factors shared by all
-    candidates: the posteriors' covariances do not depend on the position
-    (see CenteredUpdates).  Out-of-area candidates score -inf.
+    w - w_missed) and the detection components (weights -d) that _kept
+    keeps for the candidate, and its Gaussian pair tables are built from
+    covariance factors shared by all candidates: the posteriors'
+    covariances do not depend on the position (see CenteredUpdates).
+    Out-of-area candidates score -inf.
     """
     positions = np.asarray(positions, dtype=float).reshape(-1, cfg.meas_dim)
     rewards = np.full(len(positions), -math.inf)
@@ -108,32 +160,35 @@ def _score(
         predicted, z_star, cfg.detection_term, positions[inside], cfg.planning_model
     )
     # A zero-weight predicted component gets c = 0 and detection weights 0.
-    w, m, p, p2 = predicted.weights, predicted.means, predicted.covs, update.covs
-    # Pair tables fixed for the step: N(m_i; m_j, P_i + P_j), and the factors
-    # of P_i + p2_j (predicted by detection) and p2_i + p2_j (detection pairs).
-    # The last are exactly symmetric in i and j, so they are factored on one
-    # triangle, packed, and ``tri`` maps (i, j) into it.  The table goes
-    # through the gaussmix attribute, which the benchmark's tracer wraps.
+    m, p = predicted.means, predicted.covs
+    # N(m_i; m_j, P_i + P_j), fixed for the step.  The table goes through the
+    # gaussmix attribute, which the benchmark's tracer wraps.
     g_pp = np.exp(gaussmix.pairwise_log_inner(m, p, m, p))
-    a, b = np.triu_indices(w.size)
-    tri = np.empty((w.size, w.size), dtype=np.intp)
+    kept = _kept(predicted, update, g_pp)
+    # The factors of P_i + p2_j (predicted by detection) and p2_i + p2_j
+    # (detection pairs), over U alone, the sorted union of the kept
+    # components.  The latter are exactly symmetric in i and j, so they are
+    # factored on one triangle, packed, and ``tri`` maps (i, j) into it.
+    union = np.unique(np.concatenate([dj for *_, dj in kept]))
+    p2 = update.covs[union]
+    a, b = np.triu_indices(union.size)
+    tri = np.empty((union.size, union.size), dtype=np.intp)
     tri[a, b] = tri[b, a] = np.arange(a.size)
     f_pd = gauss_factor(p[:, None] + p2[None, :])
     f_dd = gauss_factor(p2[a] + p2[b])
-    for t, index in enumerate(inside):
-        c = w - update.missed[t]
-        dz, dj = np.nonzero(update.detected[t])
+    for t, (index, (c, q, dz, dj)) in enumerate(zip(inside, kept)):
         d = update.detected[t][dz, dj]
         md = update.means[t][dz, dj]
-        g_pd = np.exp(log_gauss_factored(m[:, None] - md[None], (f_pd[0][:, dj], f_pd[1][:, dj])))
+        du = np.searchsorted(union, dj)
+        g_pd = np.exp(log_gauss_factored(m[:, None] - md[None], (f_pd[0][:, du], f_pd[1][:, du])))
         # The detection-pair table is symmetric too: one triangle again.
-        da, db = np.triu_indices(dj.size)
-        pair = tri[dj[da], dj[db]]
-        g_dd = np.empty((dj.size, dj.size))
+        da, db = np.triu_indices(du.size)
+        pair = tri[du[da], du[db]]
+        g_dd = np.empty((du.size, du.size))
         g_dd[da, db] = g_dd[db, da] = np.exp(
             log_gauss_factored(md[da] - md[db], (f_dd[0][pair], f_dd[1][pair]))
         )
-        sq = c @ g_pp @ c - 2.0 * (c @ g_pd @ d) + d @ g_dd @ d
+        sq = q - 2.0 * (c @ g_pd @ d) + d @ g_dd @ d
         rewards[index] = csd_from_sq_distance(1.0, sq)
     return rewards
 

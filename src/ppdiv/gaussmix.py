@@ -71,13 +71,15 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 def checked_array(value, shape: tuple, what: str) -> np.ndarray:
     """A read-only finite float copy of ``value`` whose shape matches
     ``shape``, where a None size is free; otherwise a ValueError naming
-    ``what``."""
+    ``what``.  The message names the free sizes n, m, k in turn."""
     try:
         arr = np.array(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{what} must be an array of numbers ({exc})") from None
     if arr.ndim != len(shape) or any(n not in (None, k) for n, k in zip(shape, arr.shape)):
-        shown = ", ".join("n" if n is None else str(n) for n in shape) + "," * (len(shape) == 1)
+        free = iter("nmk")
+        shown = ", ".join(next(free) if n is None else str(n) for n in shape)
+        shown += "," * (len(shape) == 1)
         raise ValueError(f"{what} must have shape ({shown}), got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{what} has non-finite entries")

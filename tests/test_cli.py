@@ -151,8 +151,10 @@ def test_bad_covariance_exits_two_naming_the_field(tmp_path, capsys, field, valu
         {"area": [[-1e308, 1e308], [0.0, 1000.0]]},
         # A clutter mass beyond what one Poisson count per scan can draw.
         {"clutter_rate": 5.0, "horizon": 2},
-        # A default process noise, 27 step_period**3, that overflows.
+        # A default process noise, 27 step_period**3, that overflows, and
+        # one too large to condition on the detection term.
         {"step_period": 1e120},
+        {"step_period": 1e30, "horizon": 3},
         # An OSPA charge, cutoff ** order, that overflows or underflows.
         {"ospa_order": 200},
         {"ospa_order": 1100, "ospa_cutoff": 0.5},
@@ -175,6 +177,7 @@ def test_bad_covariance_exits_two_naming_the_field(tmp_path, capsys, field, valu
         "overflowing-width",
         "clutter-mass-beyond-poisson-table",
         "overflowing-process-noise",
+        "unconditionable-process-noise",
         "overflowing-ospa-charge",
         "underflowing-ospa-charge",
         "boolean-integer",

@@ -144,3 +144,24 @@ def test_ospa_points_must_be_finite(bad):
         ospa([[bad, 0.0]], [[1.0, 0.0]])
     with pytest.raises(ValueError, match=r"^y has non-finite entries"):
         ospa([[1.0, 0.0], [2.0, 0.0]], [bad, 0.0])
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ospa([[[1, 2]]], [[1, 2]]), "x must have shape (n, m), got (1, 1, 2)"),
+        (lambda: MeasModel(I2[None], I2), "observation must have shape (n, m), got (1, 2, 2)"),
+        (
+            lambda: GaussianMixture([1.0], [[[0.0, 0.0]]], [I2]),
+            "means must have shape (1, n), got (1, 1, 2)",
+        ),
+        (lambda: Gaussian([[0.0, 0.0]], I2), "mean must have shape (n,), got (1, 2)"),
+    ],
+    ids=["ospa-points", "observation", "means", "mean"],
+)
+def test_shape_message_names_each_free_size(build, message):
+    # Free sizes are independent, so they get a name each: a shape of
+    # (None, None) does not read as square.
+    with pytest.raises(ValueError) as error:
+        build()
+    assert str(error.value) == message

@@ -4,8 +4,9 @@ mixture_inner and csd_poisson_gm against an independent slogdet/solve double
 sum on ill-scaled 4-d covariances, of the rewards a short cs run records
 against the same double sum, of the look-ahead scorer's factored reward on
 random predicted intensities in d = 4, also with weights up to 1.5e4, of
-prune_merge against a one-pivot-at-a-time reference, and of phd_update's
-missed-detection mass.
+the detection terms the scorer drops against their bound, of a dense
+scripted scene's actions and rewards, of prune_merge against a
+one-pivot-at-a-time reference, and of phd_update's missed-detection mass.
 
 Examples are derandomized and bounded, so a failure reproduces and the run
 time stays fixed.  Rounding is judged against <u,u> + <v,v>, the size of the
@@ -13,6 +14,7 @@ terms whose difference D_CS = (k/2) ||u - v||^2 is.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -27,6 +29,7 @@ from ppdiv import (
     PointPattern,
     PoissonModel,
     ScenarioConfig,
+    TruthTarget,
     action_positions,
     csd_poisson_gm,
     detection_profile,
@@ -36,8 +39,8 @@ from ppdiv import (
     reward,
 )
 from ppdiv import harness
-from ppdiv.control import _evaluate_candidate, _score, select_action
-from ppdiv.gaussmix import _maha, log_gauss, mixture_inner
+from ppdiv.control import _evaluate_candidate, _kept, _score, select_action
+from ppdiv.gaussmix import _maha, log_gauss, mixture_inner, pairwise_log_inner
 from ppdiv.gmphd import phd_update_at_centers
 from ppdiv.harness import run_simulation
 from ppdiv.scenario import in_area
@@ -207,6 +210,43 @@ def test_recorded_cs_rewards_match_independent_double_sum(monkeypatch):
     assert min(step.reward for step in record.steps) > 0.0
 
 
+def test_dense_scene_keeps_its_actions_and_rewards(monkeypatch):
+    # Ten scripted targets, where the look-ahead drops most detection
+    # components.  The actions were recorded before it dropped any, and
+    # every chosen reward must match reward(), which keeps every term.
+    rng = np.random.default_rng(2026)
+    places, velocities = rng.uniform(0.0, 1000.0, (10, 2)), rng.uniform(-5.0, 5.0, (10, 2))
+    script = tuple(TruthTarget(1, None, np.concatenate(x)) for x in zip(places, velocities))
+    cfg = ScenarioConfig(truth_script=script, horizon=5)
+    seen = []
+
+    def recording(predicted, s_prev, cfg):
+        position, evaluations = select_action(predicted, s_prev, cfg)
+        seen.append((predicted, s_prev, position))
+        return position, evaluations
+
+    monkeypatch.setattr(harness, "select_action", recording)
+    record = run_simulation(cfg, 1, "cs")
+    assert [step.action_index for step in record.steps] == [10, 10, 2, 16, 11]
+    for step, (predicted, _, position) in zip(record.steps, seen):
+        z_star = ideal_measurements(predicted, cfg.observation, cfg.extraction_threshold)
+        posterior = phd_update(
+            predicted, z_star, detection_profile(cfg, position), cfg.planning_model
+        )
+        want = reward(position, predicted, z_star, cfg)
+        assert abs(step.reward - want) <= ROUNDING * scale(predicted, posterior)
+    # The regime: at the last step (z_star is still its own), fewer than
+    # half of the candidates' nonzero detection components are kept.
+    predicted, s_prev, _ = seen[-1]
+    candidates = [x for x in action_positions(s_prev, cfg) if in_area(x, cfg)]
+    update = phd_update_at_centers(
+        predicted, z_star, cfg.detection_term, candidates, cfg.planning_model
+    )
+    m, p = predicted.means, predicted.covs
+    kept = _kept(predicted, update, np.exp(pairwise_log_inner(m, p, m, p)))
+    assert 2 * sum(dz.size for _, _, dz, _ in kept) < np.count_nonzero(update.detected)
+
+
 @st.composite
 def predicted_intensities(draw):
     """0-4 tracks in the desk area with random SPD covariances whose
@@ -299,6 +339,92 @@ def test_factored_reward_matches_direct_update_at_large_weights(predicted, senso
             predicted, z_star, detection_profile(DESK, position), DESK.planning_model
         )
         assert abs(value - want) <= ROUNDING * scale(predicted, posterior)
+
+
+@st.composite
+def heavy_intensities_with_far_tracks(draw):
+    """predicted_intensities with weights x 1 to 1e4, plus a cluster of 0-6
+    sharp tracks up to 100 m per axis from a centre anywhere from inside the
+    desk area to 6 km outside it: each measurement then weighs every other
+    track of the cluster a little, so many detection components are light
+    but not zero, and their weights are graded."""
+    near = draw(predicted_intensities())
+    boost = draw(st.sampled_from([1.0, 1e2, 1e3, 1e4]))
+    n = draw(st.integers(0, 6))
+    centre = draw(arrays(float, 2, elements=st.floats(500.0, 7000.0)))
+    offsets = draw(arrays(float, (n, 2), elements=st.floats(-100.0, 100.0)))
+    means = np.concatenate([near.means, np.pad(centre + offsets, ((0, 0), (0, 2)))])
+    covs = np.concatenate([near.covs, np.broadcast_to(np.diag([25.0, 25.0, 1.0, 1.0]), (n, 4, 4))])
+    weights = boost * np.concatenate([near.weights, np.ones(n)])
+    return GaussianMixture(weights, means, covs)
+
+
+def test_dropped_detection_terms_stay_within_their_bound():
+    # One candidate's ||u - v||^2 with every detection component and with
+    # _kept's differ by exactly the dropped terms.  Summed here with
+    # reference_log_gauss, they must stay within 2 (|c|_1 + W) sum r_j, and
+    # that bound below eps c' G_pp c, with r_j = d_j h_j and the peaks h_j
+    # from slogdet.
+    eps = np.finfo(float).eps
+    dropped = {False: 0, True: 0}
+
+    @properties
+    @given(
+        heavy_intensities_with_far_tracks(),
+        arrays(float, 2, elements=st.floats(0.0, 1000.0)),
+        st.data(),
+    )
+    def check(predicted, sensor, data):
+        z_star = ideal_measurements(predicted, DESK.observation, DESK.extraction_threshold)
+        update = phd_update_at_centers(
+            predicted, z_star, DESK.detection_term, sensor[None], DESK.planning_model
+        )
+        w, m, p = predicted.weights, predicted.means, predicted.covs
+        logdet = np.linalg.slogdet(update.covs)[1]
+        peaks = np.exp(-0.5 * (logdet + 4 * math.log(2.0 * math.pi)))
+        g_pp = np.exp(reference_log_gauss(m[:, None] - m[None], p[:, None] + p[None]))
+        missed, detected = update.missed[0], update.detected[0]
+        drawn = bool(detected.size) and data.draw(st.booleans())
+        if drawn:
+            # The bound holds for any weights c and d >= 0, so half the
+            # examples draw them: missed weights up to 3 w, which leave c of
+            # either sign; the heavy detection weights times up to 1e4, so
+            # that W may outweigh |c|_1; and every light one an r_j at a
+            # drawn share of 4 / (their count) budgets, so that the drop has
+            # to stop close to the budget.
+            missed = w * data.draw(arrays(float, w.size, elements=st.floats(0.0, 3.0)))
+            light = (detected > 0.0) & (detected < detected.max())
+            detected = np.where(light, 0.0, detected * data.draw(st.floats(1.0, 1e4)))
+            c = w - missed
+            budget = eps * (c @ g_pp @ c) / (2.0 * (np.abs(c).sum() + detected.sum()))
+            shares = data.draw(arrays(float, detected.shape, elements=st.floats(0.05, 1.0)))
+            step = 4.0 * budget / max(np.count_nonzero(light), 1)
+            detected = np.where(light, shares * step / peaks, detected)
+            update = replace(update, missed=missed[None], detected=detected[None])
+        c = w - missed
+        q = c @ g_pp @ c
+        [(got_c, got_q, kz, kj)] = _kept(predicted, update, np.exp(pairwise_log_inner(m, p, m, p)))
+        assert np.array_equal(got_c, c)
+        assert abs(got_q - q) <= ROUNDING * (np.abs(c) @ g_pp @ np.abs(c))
+        kept = np.zeros(detected.shape, dtype=bool)
+        kept[kz, kj] = True
+        assert np.all(detected[kept] > 0.0)
+        dz, dj = np.nonzero(detected)
+        d, md, p2 = detected[dz, dj], update.means[0][dz, dj], update.covs[dj]
+        keep = kept[dz, dj]
+        d_k, d_d = np.where(keep, d, 0.0), np.where(keep, 0.0, d)
+        g_pd = np.exp(reference_log_gauss(m[:, None] - md[None], p[:, None] + p2[None]))
+        g_dd = np.exp(reference_log_gauss(md[:, None] - md[None], p2[:, None] + p2[None]))
+        delta = -2.0 * (c @ g_pd @ d_d) + 2.0 * (d_k @ g_dd @ d_d) + d_d @ g_dd @ d_d
+        bound = 2.0 * (np.abs(c).sum() + d.sum()) * (d_d @ peaks[dj])
+        assert abs(delta) <= bound * (1.0 + ROUNDING)
+        assert bound <= eps * got_q * (1.0 + ROUNDING)
+        dropped[drawn] += np.count_nonzero(~keep)
+
+    check()
+    # Components of nonzero weight were dropped, with drawn weights and
+    # with the update's own.
+    assert dropped[False] > 0 and dropped[True] > 0
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from ppdiv import (
     detection_profile,
     generate_measurements,
     load_config,
+    run_simulation,
     step_truth,
 )
 from ppdiv.gaussmix import log_gauss
@@ -293,6 +294,20 @@ def test_clutter_mass_beyond_the_poisson_table_is_rejected_at_load():
     assert sample_poisson_counts(RngStream(3), edge.clutter_mass, 1)[0] > 0
     with pytest.raises(ConfigError, match="^clutter_rate: "):
         ScenarioConfig(clutter_rate=np.nextafter(MAX_POISSON_MEAN / 1e6, 2.0))
+
+
+def test_step_period_beyond_what_the_filter_can_condition_is_rejected_at_load():
+    # eps * 27 t**3 against the detection shape's smallest variance, about
+    # 8.8e5 by default: past t = 5.3e6 every cs and stay run used to fail
+    # in the update, naming no field.
+    message = r"^step_period: the default process noise, 27 \* 1e\+30\*\*3, is at least 1/eps"
+    with pytest.raises(ConfigError, match=message):
+        config_from_dict({"step_period": 1e30, "horizon": 3})
+    with pytest.raises(ConfigError, match="^step_period: "):
+        ScenarioConfig(step_period=1e7)
+    assert len(run_simulation(ScenarioConfig(step_period=1e6, horizon=3), 1, "cs").steps) == 3
+    # The limit moves with the shape.
+    ScenarioConfig(step_period=1e7, detection_shape=[[3e9, -2.4e9], [-2.4e9, 3.6e9]])
 
 
 # Matrix fields whose JSON null means "use the default".
