@@ -27,9 +27,10 @@ the detection term's fixed shape and then on the measurement noise.  The
 sensor position moves only weights and means.  So G_pp comes once per step
 from gaussmix.pairwise_log_inner, the one evaluator of Gaussian pair tables
 (on one triangle, in blocks of 2**16 pairs), the factors of P_i + p2_j and
-p2_i + p2_j are taken once per step (the latter on one triangle, as they are
-exactly symmetric), and each candidate evaluates only the mean-dependent
-Mahalanobis terms of G_pd and G_dd.
+p2_i + p2_j are taken once per step, as full tables, and each candidate
+evaluates only the mean-dependent Mahalanobis terms of G_pd and G_dd.  Every
+entry is the one pairwise_log_inner would give for the same pair, to the
+last bit.
 
 Most detection components are far too light to move a reward's bits, so
 each candidate drops its lightest ones under a proven bound before any pair
@@ -167,27 +168,21 @@ def _score(
     kept = _kept(predicted, update, g_pp)
     # The factors of P_i + p2_j (predicted by detection) and p2_i + p2_j
     # (detection pairs), over U alone, the sorted union of the kept
-    # components.  The latter are exactly symmetric in i and j, so they are
-    # factored on one triangle, packed, and ``tri`` maps (i, j) into it.
+    # components.  U is tiny (a median of 5 in the desk scene), so the
+    # detection pairs take the full U x U square: p2_i + p2_j and p2_j + p2_i
+    # are the same sum and md_a - md_b is the exact negative of md_b - md_a,
+    # so each G_dd comes out bitwise symmetric without mirroring.
     union = np.unique(np.concatenate([dj for *_, dj in kept]))
     p2 = update.covs[union]
-    a, b = np.triu_indices(union.size)
-    tri = np.empty((union.size, union.size), dtype=np.intp)
-    tri[a, b] = tri[b, a] = np.arange(a.size)
     f_pd = gauss_factor(p[:, None] + p2[None, :])
-    f_dd = gauss_factor(p2[a] + p2[b])
+    f_dd = gauss_factor(p2[:, None] + p2[None, :])
     for t, (index, (c, q, dz, dj)) in enumerate(zip(inside, kept)):
         d = update.detected[t][dz, dj]
         md = update.means[t][dz, dj]
         du = np.searchsorted(union, dj)
         g_pd = np.exp(log_gauss_factored(m[:, None] - md[None], (f_pd[0][:, du], f_pd[1][:, du])))
-        # The detection-pair table is symmetric too: one triangle again.
-        da, db = np.triu_indices(du.size)
-        pair = tri[du[da], du[db]]
-        g_dd = np.empty((du.size, du.size))
-        g_dd[da, db] = g_dd[db, da] = np.exp(
-            log_gauss_factored(md[da] - md[db], (f_dd[0][pair], f_dd[1][pair]))
-        )
+        square = np.ix_(du, du)
+        g_dd = np.exp(log_gauss_factored(md[:, None] - md[None], (f_dd[0][square], f_dd[1][square])))
         sq = q - 2.0 * (c @ g_pd @ d) + d @ g_dd @ d
         rewards[index] = csd_from_sq_distance(1.0, sq)
     return rewards

@@ -517,8 +517,10 @@ def mixture_from_dict(data: dict) -> GaussianMixture:
         comps = data["components"]
     except KeyError as exc:
         raise ValueError(f"mixture document missing key {exc.args[0]!r}") from None
-    if not isinstance(dim, numbers.Integral) and not (
-        isinstance(dim, numbers.Real) and float(dim).is_integer()
+    # JSON booleans are not numbers, though Python counts them as integers.
+    if isinstance(dim, bool) or not (
+        isinstance(dim, numbers.Integral)
+        or (isinstance(dim, numbers.Real) and float(dim).is_integer())
     ):
         raise ValueError(f"dim must be a whole number, got {dim!r}")
     dim = int(dim)
@@ -530,6 +532,8 @@ def mixture_from_dict(data: dict) -> GaussianMixture:
         return GaussianMixture.empty(dim)
     weights, means, covs = [], [], []
     for i, comp in enumerate(comps):
+        if isinstance(comp, dict) and isinstance(comp.get("weight"), bool):
+            raise ValueError(f"components[{i}].weight must be a number, got {comp['weight']!r}")
         try:
             weights.append(float(comp["weight"]))
             mean, cov = comp["mean"], comp["cov"]

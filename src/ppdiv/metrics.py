@@ -57,19 +57,30 @@ def optimal_assignment(cost_matrix) -> tuple[np.ndarray, float]:
 
 
 def _as_points(x, what: str) -> np.ndarray:
-    """``x`` as an (n, d) array of finite points, a 1-D ``x`` being one point
-    and an empty ``x`` of any shape no points; or a ValueError naming
-    ``what``."""
+    """``x`` as an (n, d) array of finite points, a 1-D ``x`` being one point;
+    or a ValueError naming ``what``.  An empty ``x`` has no points: of shape
+    (0, d) it keeps its dimension d, of any other shape it has none and comes
+    back 1-D."""
     pts = np.asarray(x.points if hasattr(x, "points") else x)
     if pts.size == 0:
-        return np.zeros((0, pts.shape[1] if pts.ndim == 2 else 0))
+        return np.zeros((0, pts.shape[1])) if pts.ndim == 2 and len(pts) == 0 else np.zeros(0)
     return checked_array(np.atleast_2d(pts), (None, None), what)
+
+
+def _distances(diffs: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis that do not underflow: each
+    vector is measured in units of its largest entry."""
+    big = np.abs(diffs).max(axis=-1)
+    unit = np.where((0.0 < big) & (big < math.inf), big, 1.0)
+    return big * np.linalg.norm(diffs / unit[..., None], axis=-1)
 
 
 def ospa(x, y, params: OspaParams = OspaParams()) -> float:
     """OSPA distance between two point sets (PointPattern or (n, d) arrays)."""
     a = _as_points(x, "x")
     b = _as_points(y, "y")
+    if a.ndim == b.ndim == 2 and a.shape[1] != b.shape[1]:
+        raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
     if len(a) > len(b):
         a, b = b, a
     m, n = len(a), len(b)
@@ -77,11 +88,26 @@ def ospa(x, y, params: OspaParams = OspaParams()) -> float:
         return 0.0
     if m == 0:
         return float(params.cutoff)
-    if a.shape[1] != b.shape[1]:
-        raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
     p, c = params.order, params.cutoff
-    dists = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=-1)
-    cut = np.minimum(dists, c) ** p
+    diffs = a[:, None, :] - b[None, :, :]
+    cut = np.minimum(np.linalg.norm(diffs, axis=-1), c) ** p
     rows, cols = linear_sum_assignment(cut)
     total = float(cut[rows, cols].sum()) + (c**p) * (n - m)
-    return float((total / n) ** (1.0 / p))
+    if total > 0.0:
+        return float((total / n) ** (1.0 / p))
+    # Every charge underflowed (so m == n), perhaps with the distances too.
+    # Solve again in units of the largest distance the assignment takes,
+    # until that distance is its own unit: the total is then >= 1, and any
+    # charge too small to count is below its last bit.  That assignment
+    # costs at most n, so an entry past (2n)^(1/p) units joins no optimum,
+    # and capping there keeps every charge finite.
+    e = np.minimum(_distances(diffs), c)
+    cap = (2.0 * n) ** (1.0 / p)
+    unit = math.inf
+    while 0.0 < (top := float(e[rows, cols].max())) < unit:
+        unit = top
+        cut = (np.minimum(e, cap * unit) / unit) ** p
+        rows, cols = linear_sum_assignment(cut)
+    if top == 0.0:
+        return 0.0
+    return float(unit * (cut[rows, cols].sum() / n) ** (1.0 / p))

@@ -86,7 +86,7 @@ def test_bad_inputs_exit_two(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("dim", [None, 2.7], ids=["null", "non-integral"])
+@pytest.mark.parametrize("dim", [None, 2.7, True], ids=["null", "non-integral", "boolean"])
 def test_malformed_mixture_dim_exits_two(tmp_path, capsys, dim):
     doc = tmp_path / "m.json"
     doc.write_text(json.dumps({"dim": dim, "components": []}))
@@ -162,6 +162,8 @@ def test_bad_covariance_exits_two_naming_the_field(tmp_path, capsys, field, valu
         {"horizon": True},
         {"clutter_rate": True},
         {"truth_script": [{"birth_step": True, "state": [1.0, 1.0, 0.0, 0.0]}]},
+        {"birth": {"dim": True, "components": []}},
+        {"birth": {"dim": 4, "components": [{"weight": True, "mean": [0.0] * 4, "cov": np.eye(4).tolist()}]}},
     ],
     ids=[
         "null-number",
@@ -183,6 +185,8 @@ def test_bad_covariance_exits_two_naming_the_field(tmp_path, capsys, field, valu
         "boolean-integer",
         "boolean-number",
         "boolean-step",
+        "boolean-mixture-dim",
+        "boolean-mixture-weight",
     ],
 )
 def test_malformed_field_exits_two_naming_it(tmp_path, capsys, doc):

@@ -18,6 +18,7 @@ from ppdiv import (
     ScenarioConfig,
     SpawnTerm,
     TruthTarget,
+    config_from_dict,
     csd_poisson_quadrature,
     hellinger_sq_quadrature,
     mixture_from_dict,
@@ -122,6 +123,19 @@ def test_config_names_a_non_square_transition_itself():
     # judges the transition's shape first.
     with pytest.raises(ConfigError, match=r"^transition: "):
         ScenarioConfig(transition=[[1, 2, 3]])
+
+
+def test_mixture_document_rejects_booleans():
+    # Python counts a JSON true as the integer 1; a mixture document does not.
+    comp = {"weight": 1.0, "mean": [0.0, 0.0], "cov": I2.tolist()}
+    for doc, message in (
+        ({"dim": True, "components": []}, "dim must be a whole number, got True"),
+        ({"dim": 2, "components": [{**comp, "weight": True}]}, "components[0].weight must be a number, got True"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            mixture_from_dict(doc)
+        with pytest.raises(ConfigError, match=f"^birth: {re.escape(message)}$"):
+            config_from_dict({"birth": doc})
 
 
 @pytest.mark.parametrize("route", [csd_poisson_quadrature, hellinger_sq_quadrature])

@@ -64,6 +64,45 @@ def test_ospa_empty_conventions():
     assert ospa([0.0, 0.0], one) == 5.0
 
 
+def test_ospa_compares_only_sets_of_one_dimension():
+    # An empty (0, d) array keeps its dimension; only an empty of another
+    # shape, such as [], has none.
+    for x, y in (
+        (np.zeros((0, 3)), [[1.0, 2.0]]),
+        (np.zeros((0, 3)), np.zeros((0, 2))),
+        ([[1.0, 2.0, 3.0]], [[1.0, 2.0]]),
+    ):
+        for first, second in ((x, y), (y, x)):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                ospa(first, second)
+    assert ospa([], np.zeros((0, 2))) == 0.0
+    assert ospa([], [[1.0, 2.0]]) == 100.0
+
+
+def test_ospa_keeps_charges_that_underflow():
+    # Each read 0.0 while every charge min(d, c) ** p underflowed, and in
+    # the second the distance itself did.
+    cases = [
+        (([[0.0, 0.0]], [[0.4, 0.0]], OspaParams(1000.0, 0.5)), 0.4),
+        (([[0.0, 0.0]], [[1e-200, 0.0]], OspaParams()), 1e-200),
+        # Two pairs: the far one must not set the unit.
+        (([[0.0, 0.0], [1000.0, 0.0]], [[1e-200, 0.0], [1000.0, 0.0]], OspaParams()), 1e-200 / math.sqrt(2.0)),
+        # All charges tie at 0, and the assignment the tie gives is not the
+        # optimum: in units of its distance the optimum underflows again.
+        (([[0.0, 0.0], [1e-40, 0.0]], [[1e-40, 1e-75], [0.0, 1e-75]], OspaParams(10.0, 1.0)), 1e-75),
+    ]
+    for args, want in cases:
+        assert ospa(*args) == pytest.approx(want, rel=1e-12)
+    # Homogeneity, down where ospa(s x, s y) used to read 0.0: s is a power
+    # of two, so s x, s y and s c are exact.
+    x = np.array([[0.0, 0.0], [5.0, 5.0]])
+    y = np.array([[3e-12, 4e-12], [5.0, 5.0 + 2e-12]])
+    s = 2.0**-500
+    small = ospa(s * x, s * y, OspaParams(2.0, s * 100.0))
+    assert small == pytest.approx(s * ospa(x, y), rel=1e-12)
+    assert ospa(s * x, s * x, OspaParams(2.0, s * 100.0)) == 0.0
+
+
 def test_ospa_identity_and_permutation():
     gen = np.random.default_rng(7)
     pts = gen.uniform(0.0, 100.0, size=(5, 2))

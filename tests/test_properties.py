@@ -40,6 +40,7 @@ from ppdiv import (
 )
 from ppdiv import harness
 from ppdiv.control import _evaluate_candidate, _kept, _score, select_action
+from ppdiv.divergence import csd_from_sq_distance
 from ppdiv.gaussmix import _maha, log_gauss, mixture_inner, pairwise_log_inner
 from ppdiv.gmphd import phd_update_at_centers
 from ppdiv.harness import run_simulation
@@ -299,14 +300,25 @@ def test_factored_reward_matches_direct_update(predicted, sensor):
         # permuted components, still shows here.
         inside = positions[[in_area(position, DESK) for position in positions]]
         update = phd_update_at_centers(predicted, z_star, DESK.detection_term, inside, meas)
+        # The scorer's per-step factors re-lay out the one pair-table
+        # evaluator: its rewards equal, bit for bit, the quadratic form over
+        # tables that pairwise_log_inner builds for each kept set.
+        m, p = predicted.means, predicted.covs
+        kept = _kept(predicted, update, np.exp(pairwise_log_inner(m, p, m, p)))
         posteriors = []
         for position, value in zip(positions, rewards):
             want = reward(position, predicted, z_star, DESK)
             if want == -np.inf:
                 assert value == -np.inf
                 continue
+            t = len(posteriors)
+            c, q, dz, dj = kept[t]
+            d, md, p2k = update.detected[t][dz, dj], update.means[t][dz, dj], update.covs[dj]
+            g_pd = np.exp(pairwise_log_inner(m, p, md, p2k))
+            g_dd = np.exp(pairwise_log_inner(md, p2k, md, p2k))
+            assert value == csd_from_sq_distance(1.0, q - 2.0 * (c @ g_pd @ d) + d @ g_dd @ d)
             posterior = phd_update(predicted, z_star, detection_profile(DESK, position), meas)
-            assert_same_blocks(update, len(posteriors), posterior, predicted)
+            assert_same_blocks(update, t, posterior, predicted)
             assert abs(value - want) <= ROUNDING * scale(predicted, posterior)
             posteriors.append(posterior)
         assert len(posteriors) == len(inside)
