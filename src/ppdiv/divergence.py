@@ -20,7 +20,6 @@ single-Gaussian intensities; it does not depend on k.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +27,7 @@ from scipy.special import logsumexp
 
 from . import gaussmix
 from .gaussmix import GaussianMixture, HyperVolumeUnit, bhatt_coeff, checked_array, mixture_inner, mixture_mass
+from .gaussmix import NONNEGATIVE, POSITIVE, PROBABILITY, checked_number
 
 _CLAMP_TOL = 1e-10
 
@@ -77,15 +77,16 @@ class MixturePoissonModel:
     components: tuple
 
     def __post_init__(self):
-        comps = tuple((float(w), model) for w, model in self.components)
+        comps = tuple(
+            (checked_number(w, f"components[{i}] weight", float, *PROBABILITY), model)
+            for i, (w, model) in enumerate(self.components)
+        )
         if not comps:
             raise ValueError("mixture of processes needs at least one component")
         total = 0.0
         for i, (w, model) in enumerate(comps):
             if not isinstance(model, PoissonModel):
                 raise ValueError(f"components[{i}] is not a PoissonModel")
-            if not (0.0 <= w <= 1.0):
-                raise ValueError(f"components[{i}] weight {w!r} outside [0, 1]")
             total += w
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"mixture weights sum to {total!r}, expected 1")
@@ -141,10 +142,7 @@ def _grid_samples(u_values, v_values, cell_volume) -> tuple[np.ndarray, np.ndarr
     v_values = checked_array(np.ravel(v_values), (None,), "v_values")
     if u_values.shape != v_values.shape:
         raise ValueError(f"sample shape mismatch: {u_values.shape} vs {v_values.shape}")
-    cell_volume = float(cell_volume)
-    if not math.isfinite(cell_volume) or cell_volume <= 0.0:
-        raise ValueError(f"cell_volume must be finite and > 0, got {cell_volume!r}")
-    return u_values, v_values, cell_volume
+    return u_values, v_values, checked_number(cell_volume, "cell_volume", float, *POSITIVE)
 
 
 def csd_poisson_quadrature(
@@ -254,15 +252,14 @@ def intensity_grid(
         raise ValueError(f"quadrature grids support dim 1 and 2, got {dim}")
     if cells_per_axis is None:
         cells_per_axis = _DEFAULT_CELLS[dim]
-    if not (
-        isinstance(cells_per_axis, numbers.Real)
-        and float(cells_per_axis).is_integer()
-        and cells_per_axis >= 2
-    ):
-        raise ValueError(f"cells_per_axis must be a whole number >= 2, got {cells_per_axis!r}")
-    cells_per_axis = int(cells_per_axis)
-    if not (isinstance(pad_sigmas, numbers.Real) and math.isfinite(pad_sigmas) and pad_sigmas >= 0):
-        raise ValueError(f"pad_sigmas must be finite and >= 0, got {pad_sigmas!r}")
+    # Each failure states the whole requirement, whatever the value was.
+    cells = "a whole number >= 2"
+    cells_per_axis = checked_number(
+        cells_per_axis, "cells_per_axis", int, lambda v: v >= 2, cells, kind_requirement=cells
+    )
+    pad_sigmas = checked_number(
+        pad_sigmas, "pad_sigmas", float, *NONNEGATIVE, kind_requirement="finite and >= 0"
+    )
     lo = np.full(dim, np.inf)
     hi = np.full(dim, -np.inf)
     any_component = False

@@ -23,8 +23,9 @@ All evaluation happens in log space through a Cholesky factorization, so
 ill-scaled but positive-definite covariances (entries around 1e6 show up in
 the sensor model) stay accurate.
 
-Arrays from outside the package are judged here and nowhere else:
-``checked_array`` for any finite array, ``validate_cov`` for a covariance.
+Numbers and arrays from outside the package are judged here and nowhere
+else: ``checked_number`` for a scalar, ``checked_array`` for any finite
+array, ``validate_cov`` for a covariance.
 """
 
 from __future__ import annotations
@@ -43,6 +44,45 @@ _LOG_2PI = math.log(2.0 * math.pi)
 BLOCK = 65_536
 
 
+def _is_number(value) -> bool:
+    # Python counts a bool as an integer; a JSON true is not a number.
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def checked_number(value, what: str, kind, test, requirement: str, *, kind_requirement=None):
+    """``value`` as a ``kind`` (float or int) that passes ``test``; otherwise
+    ``ValueError(f"{what} must be {requirement}, got {value!r}")``.
+
+    A number is a real number that is not a bool, so a string is not one;
+    for an int it must also be whole, so 2.5, inf and nan are not.  For a
+    value that fails there the message says "a number" or "a whole number"
+    in place of ``requirement``, or ``kind_requirement`` when given.
+    ``what`` may be empty where the caller puts the name in front of the
+    message itself.
+    """
+    number = None
+    if _is_number(value):
+        try:
+            number = kind(value)
+        except (OverflowError, ValueError):
+            # inf or nan as an int, or an int past the float range: NaN fails
+            # the whole-number rule and every test.
+            number = math.nan
+    if number is None or (kind is int and number != value):
+        requirement = kind_requirement or ("a number" if number is None else "a whole number")
+    elif test(number):
+        return number
+    raise ValueError(f"{what} must be {requirement}, got {value!r}".lstrip())
+
+
+# (test, requirement) pairs that checked_number's callers share.
+POSITIVE = (lambda v: 0.0 < v < math.inf, "finite and > 0")
+NONNEGATIVE = (lambda v: 0.0 <= v < math.inf, "finite and >= 0")
+PROBABILITY = (lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+AT_LEAST_0 = (lambda v: v >= 0, ">= 0")
+AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
+
+
 @dataclass(frozen=True)
 class HyperVolumeUnit:
     """Numeric value of the unit hyper-volume K of the single-point space.
@@ -57,9 +97,7 @@ class HyperVolumeUnit:
     k: float = 1.0
 
     def __post_init__(self):
-        k = float(self.k)
-        if not math.isfinite(k) or k <= 0.0:
-            raise ValueError(f"unit hyper-volume must be finite and > 0, got {self.k!r}")
+        k = checked_number(self.k, "unit hyper-volume", float, *POSITIVE)
         object.__setattr__(self, "k", k)
 
 
@@ -68,14 +106,33 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _non_numbers(value) -> list:
+    """The entries of ``value`` that are not numbers.  A nested list or tuple
+    is read entry by entry, since numpy reads a bool among numbers as 0 or 1;
+    anything else as numpy reads it."""
+    if isinstance(value, (list, tuple)):
+        return [bad for item in value for bad in _non_numbers(item)]
+    if _is_number(value):
+        return []
+    arr = np.asarray(value)
+    return [] if arr.dtype.kind in "iuf" else [x for x in arr.ravel().tolist() if not _is_number(x)]
+
+
 def checked_array(value, shape: tuple, what: str) -> np.ndarray:
     """A read-only finite float copy of ``value`` whose shape matches
     ``shape``, where a None size is free; otherwise a ValueError naming
-    ``what``.  The message names the free sizes n, m, k in turn."""
+    ``what``.  Its entries must be numbers as checked_number counts them.
+    The message names the free sizes n, m, k in turn."""
     try:
-        arr = np.array(value, dtype=float)
+        arr = np.array(value)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{what} must be an array of numbers ({exc})") from None
+    if bad := _non_numbers(value):
+        raise ValueError(f"{what} entries must be numbers, got {bad[0]!r}")
+    try:
+        arr = arr.astype(float, copy=False)
+    except OverflowError:
+        raise ValueError(f"{what} has non-finite entries") from None
     if arr.ndim != len(shape) or any(n not in (None, k) for n, k in zip(shape, arr.shape)):
         free = iter("nmk")
         shown = ", ".join(next(free) if n is None else str(n) for n in shape)
@@ -401,9 +458,7 @@ def mixture_eval(u: GaussianMixture, points: np.ndarray) -> np.ndarray:
 
 def mixture_scale(u: GaussianMixture, s: float) -> GaussianMixture:
     """Push the mixture through x -> s x: means scale by s, covs by s^2."""
-    s = float(s)
-    if not math.isfinite(s) or s <= 0.0:
-        raise ValueError(f"scale must be finite and > 0, got {s!r}")
+    s = checked_number(s, "scale", float, *POSITIVE)
     return GaussianMixture(u.weights, s * u.means, (s * s) * u.covs)
 
 
@@ -432,12 +487,11 @@ def prune_merge(
     floats however many components come in, never n^2 d; rows of pivots
     absorbed by an earlier pivot of their own block are wasted work.
     """
-    if not truncation_threshold >= 0.0:
-        raise ValueError(f"truncation_threshold must be >= 0, got {truncation_threshold!r}")
-    if not merge_threshold >= 0.0:
-        raise ValueError(f"merge_threshold must be >= 0, got {merge_threshold!r}")
-    if not isinstance(max_components, numbers.Integral) or max_components < 0:
-        raise ValueError(f"max_components must be a whole number >= 0, got {max_components!r}")
+    truncation_threshold = checked_number(
+        truncation_threshold, "truncation_threshold", float, *AT_LEAST_0
+    )
+    merge_threshold = checked_number(merge_threshold, "merge_threshold", float, *AT_LEAST_0)
+    max_components = checked_number(max_components, "max_components", int, *AT_LEAST_0)
     keep = u.weights >= truncation_threshold
     w = u.weights[keep]
     m = u.means[keep]
@@ -517,28 +571,18 @@ def mixture_from_dict(data: dict) -> GaussianMixture:
         comps = data["components"]
     except KeyError as exc:
         raise ValueError(f"mixture document missing key {exc.args[0]!r}") from None
-    # JSON booleans are not numbers, though Python counts them as integers.
-    if isinstance(dim, bool) or not (
-        isinstance(dim, numbers.Integral)
-        or (isinstance(dim, numbers.Real) and float(dim).is_integer())
-    ):
-        raise ValueError(f"dim must be a whole number, got {dim!r}")
-    dim = int(dim)
-    if dim <= 0:
-        raise ValueError(f"dim must be >= 1, got {dim}")
+    dim = checked_number(dim, "dim", int, *AT_LEAST_1, kind_requirement="a whole number")
     if not isinstance(comps, list):
         raise ValueError("components must be a list")
     if not comps:
         return GaussianMixture.empty(dim)
     weights, means, covs = [], [], []
     for i, comp in enumerate(comps):
-        if isinstance(comp, dict) and isinstance(comp.get("weight"), bool):
-            raise ValueError(f"components[{i}].weight must be a number, got {comp['weight']!r}")
         try:
-            weights.append(float(comp["weight"]))
-            mean, cov = comp["mean"], comp["cov"]
-        except (KeyError, TypeError, ValueError) as exc:
+            weight, mean, cov = comp["weight"], comp["mean"], comp["cov"]
+        except (KeyError, TypeError) as exc:
             raise ValueError(f"components[{i}] is malformed: {exc}") from None
+        weights.append(checked_number(weight, f"components[{i}].weight", float, *NONNEGATIVE))
         means.append(checked_array(mean, (dim,), f"components[{i}].mean"))
         covs.append(checked_array(cov, (dim, dim), f"components[{i}].cov"))
     return GaussianMixture(weights, np.stack(means), np.stack(covs))

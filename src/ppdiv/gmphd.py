@@ -27,12 +27,12 @@ nonnegative.
 from __future__ import annotations
 
 import copy
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .gaussmix import GaussianMixture, checked_array, log_gauss, validate_cov
+from .gaussmix import NONNEGATIVE, PROBABILITY, checked_number
 from .pointprocess import PointPattern
 
 _EPS_MASS = 1e-12
@@ -58,9 +58,7 @@ class MotionModel:
         object.__setattr__(self, "transition", f)
         q = checked_array(self.process_noise, f.shape, "process_noise")
         object.__setattr__(self, "process_noise", validate_cov(q, definite=False))
-        ps = float(self.survival_prob)
-        if not (0.0 <= ps <= 1.0):
-            raise ValueError(f"survival_prob must be in [0, 1], got {ps!r}")
+        ps = checked_number(self.survival_prob, "survival_prob", float, *PROBABILITY)
         object.__setattr__(self, "survival_prob", ps)
 
     @property
@@ -78,9 +76,7 @@ class SpawnTerm:
     noise: np.ndarray
 
     def __post_init__(self):
-        w = float(self.weight)
-        if not (w >= 0.0 and math.isfinite(w)):
-            raise ValueError(f"spawn weight must be finite and >= 0, got {w!r}")
+        w = checked_number(self.weight, "spawn weight", float, *NONNEGATIVE)
         object.__setattr__(self, "weight", w)
         f = _square(self.transition, "transition")
         object.__setattr__(self, "transition", f)
@@ -127,9 +123,7 @@ class MeasModel:
         object.__setattr__(self, "observation", h)
         r = checked_array(self.noise, (h.shape[0],) * 2, "noise")
         object.__setattr__(self, "noise", validate_cov(r))
-        rate = float(self.clutter_rate)
-        if not (rate >= 0.0 and math.isfinite(rate)):
-            raise ValueError(f"clutter_rate must be finite and >= 0, got {rate!r}")
+        rate = checked_number(self.clutter_rate, "clutter_rate", float, *NONNEGATIVE)
         object.__setattr__(self, "clutter_rate", rate)
         if self.clutter_region is not None:
             box = checked_array(self.clutter_region, (h.shape[0], 2), "clutter_region")
@@ -166,9 +160,7 @@ class DetectionTerm:
     projection: np.ndarray
 
     def __post_init__(self):
-        w = float(self.weight)
-        if not (w >= 0.0 and math.isfinite(w)):
-            raise ValueError(f"detection term weight must be finite and >= 0, got {w!r}")
+        w = checked_number(self.weight, "detection term weight", float, *NONNEGATIVE)
         object.__setattr__(self, "weight", w)
         c = checked_array(self.center, (None,), "center")
         object.__setattr__(self, "center", c)
@@ -217,9 +209,7 @@ class DetectionProfile:
     terms: tuple = ()
 
     def __post_init__(self):
-        w0 = float(self.constant)
-        if not (0.0 <= w0 <= 1.0):
-            raise ValueError(f"constant detection term must be in [0, 1], got {w0!r}")
+        w0 = checked_number(self.constant, "constant detection term", float, *PROBABILITY)
         object.__setattr__(self, "constant", w0)
         terms = tuple(self.terms)
         for i, term in enumerate(terms):
@@ -484,8 +474,6 @@ def phd_update_at_centers(
 
 def extract_states(intensity: GaussianMixture, threshold: float = 0.5) -> PointPattern:
     """Means of components with weight strictly above ``threshold``."""
-    threshold = float(threshold)
-    if not (0.0 < threshold <= 1.0):
-        raise ValueError(f"threshold must be in (0, 1], got {threshold!r}")
+    threshold = checked_number(threshold, "threshold", float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
     keep = intensity.weights > threshold
     return PointPattern(intensity.means[keep], dim=intensity.dim)

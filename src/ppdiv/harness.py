@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 # _evaluate_candidate keeps its private name: perfbench/tracing.py patches it here.
 from .control import _evaluate_candidate, best_index, ideal_measurements, select_action
-from .gaussmix import GaussianMixture, prune_merge
+from .gaussmix import AT_LEAST_0, AT_LEAST_1, GaussianMixture, checked_number, prune_merge
 from .gaussmix import mixture_inner  # noqa: F401 (unused here; the benchmark's tracer patches it)
 from .gmphd import extract_states, phd_predict, phd_update
 from .metrics import ospa
@@ -116,8 +116,9 @@ def run_simulation(
     """One full scenario run; deterministic in (cfg, seed, policy, run_index)."""
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; choose from {POLICIES}")
-    seed = cfg.seed if seed is None else int(seed)
-    base = RngStream(seed, stream_id=run_index)
+    # The stream judges the seed and the run index.
+    base = RngStream(cfg.seed if seed is None else seed, stream_id=run_index)
+    seed, run_index = base.seed, base.stream_id
     truth_rng = base.child(_STREAM_TRUTH)
     meas_rng = base.child(_STREAM_MEAS)
     clutter_rng = base.child(_STREAM_CLUTTER)
@@ -192,11 +193,11 @@ def run_montecarlo(
     parallelism level changes wall-clock time, never values.  At most
     min(parallelism, n_runs, CPU count) workers start; one means no pool.
     """
-    if n_runs < 1:
-        raise ValueError(f"n_runs must be >= 1, got {n_runs}")
-    if parallelism < 1:
-        raise ValueError(f"parallelism must be >= 1, got {parallelism}")
-    seed = cfg.seed if master_seed is None else int(master_seed)
+    n_runs = checked_number(n_runs, "n_runs", int, *AT_LEAST_1)
+    parallelism = checked_number(parallelism, "parallelism", int, *AT_LEAST_1)
+    seed = cfg.seed
+    if master_seed is not None:
+        seed = checked_number(master_seed, "master_seed", int, *AT_LEAST_0)
     started = time.monotonic()
     jobs = [(config_to_dict(cfg), seed, policy, i) for i in range(n_runs)]
     workers = _worker_count(parallelism, n_runs, os.cpu_count())

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .gaussmix import checked_array
+from .gaussmix import POSITIVE, checked_array, checked_number
 
 
 @dataclass(frozen=True)
@@ -25,13 +25,12 @@ class OspaParams:
     cutoff: float = 100.0
 
     def __post_init__(self):
-        if not (self.order >= 1.0 and math.isfinite(self.order)):
-            raise ValueError(f"order must be finite and >= 1, got {self.order!r}")
-        if not (self.cutoff > 0.0 and math.isfinite(self.cutoff)):
-            raise ValueError(f"cutoff must be finite and > 0, got {self.cutoff!r}")
+        at_least_1 = (lambda v: 1.0 <= v < math.inf, "finite and >= 1")
+        object.__setattr__(self, "order", checked_number(self.order, "order", float, *at_least_1))
+        object.__setattr__(self, "cutoff", checked_number(self.cutoff, "cutoff", float, *POSITIVE))
         # ospa charges each unmatched point cutoff ** order: a normal float.
         try:
-            charge = float(self.cutoff) ** float(self.order)
+            charge = self.cutoff**self.order
         except OverflowError:
             charge = math.inf
         if not (sys.float_info.min <= charge < math.inf):
@@ -46,11 +45,9 @@ def optimal_assignment(cost_matrix) -> tuple[np.ndarray, float]:
     Returns (pairs, total) where pairs is a (min(m, n), 2) array of
     (row, column) indices and total is the summed cost.
     """
-    cost = np.asarray(cost_matrix, dtype=float)
-    if cost.ndim != 2 or cost.size == 0:
-        raise ValueError(f"cost matrix must be 2-D and nonempty, got shape {cost.shape}")
-    if not np.all(np.isfinite(cost)):
-        raise ValueError("cost matrix has non-finite entries")
+    cost = checked_array(cost_matrix, (None, None), "cost matrix")
+    if cost.size == 0:
+        raise ValueError(f"cost matrix must be nonempty, got shape {cost.shape}")
     rows, cols = linear_sum_assignment(cost)
     pairs = np.stack([rows, cols], axis=1)
     return pairs, float(cost[rows, cols].sum())
@@ -91,8 +88,8 @@ def ospa(x, y, params: OspaParams = OspaParams()) -> float:
     p, c = params.order, params.cutoff
     diffs = a[:, None, :] - b[None, :, :]
     cut = np.minimum(np.linalg.norm(diffs, axis=-1), c) ** p
-    rows, cols = linear_sum_assignment(cut)
-    total = float(cut[rows, cols].sum()) + (c**p) * (n - m)
+    pairs, total = optimal_assignment(cut)
+    total += (c**p) * (n - m)
     if total > 0.0:
         return float((total / n) ** (1.0 / p))
     # Every charge underflowed (so m == n), perhaps with the distances too.
@@ -104,10 +101,10 @@ def ospa(x, y, params: OspaParams = OspaParams()) -> float:
     e = np.minimum(_distances(diffs), c)
     cap = (2.0 * n) ** (1.0 / p)
     unit = math.inf
-    while 0.0 < (top := float(e[rows, cols].max())) < unit:
+    while 0.0 < (top := float(e[tuple(pairs.T)].max())) < unit:
         unit = top
         cut = (np.minimum(e, cap * unit) / unit) ** p
-        rows, cols = linear_sum_assignment(cut)
+        pairs, total = optimal_assignment(cut)
     if top == 0.0:
         return 0.0
-    return float(unit * (cut[rows, cols].sum() / n) ** (1.0 / p))
+    return float(unit * (total / n) ** (1.0 / p))

@@ -27,6 +27,7 @@ from scipy.special import logsumexp
 
 from .divergence import MixturePoissonModel, PoissonModel, check_pair
 from .gaussmix import BLOCK, GaussianMixture, mixture_log_eval
+from .gaussmix import AT_LEAST_0, NONNEGATIVE, checked_array, checked_number
 
 MAX_MC_MASS = 5.0
 # The largest Poisson mean whose count sample_poisson_counts draws by table
@@ -40,17 +41,10 @@ class RngStream:
     __slots__ = ("seed", "stream_id", "path", "generator")
 
     def __init__(self, seed: int, stream_id: int = 0, path: tuple = ()):
-        seed = int(seed)
-        stream_id = int(stream_id)
-        path = tuple(int(p) for p in path)
-        if seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {seed}")
-        if stream_id < 0 or any(p < 0 for p in path):
-            raise ValueError("stream_id and path entries must be nonnegative")
-        self.seed = seed
-        self.stream_id = stream_id
-        self.path = path
-        key = np.random.SeedSequence(seed, spawn_key=(stream_id, *path))
+        self.seed = checked_number(seed, "seed", int, *AT_LEAST_0)
+        self.stream_id = checked_number(stream_id, "stream_id", int, *AT_LEAST_0)
+        self.path = tuple(checked_number(p, "path entry", int, *AT_LEAST_0) for p in path)
+        key = np.random.SeedSequence(self.seed, spawn_key=(self.stream_id, *self.path))
         self.generator = np.random.Generator(np.random.Philox(key))
 
     def child(self, index: int) -> "RngStream":
@@ -67,23 +61,14 @@ class PointPattern:
     __slots__ = ("points",)
 
     def __init__(self, points, dim: int | None = None):
-        pts = np.array(points, dtype=float)
+        pts = np.asarray(points)
         if pts.size == 0:
             if pts.ndim == 2:
                 dim = pts.shape[1] if dim is None else dim
             if dim is None:
                 raise ValueError("empty pattern needs an explicit dim")
             pts = pts.reshape(0, dim)
-        else:
-            pts = np.atleast_2d(pts)
-            if pts.ndim != 2:
-                raise ValueError(f"points must form an (n, d) array, got shape {pts.shape}")
-            if dim is not None and pts.shape[1] != dim:
-                raise ValueError(f"points have dimension {pts.shape[1]}, expected {dim}")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("points have non-finite entries")
-        pts.setflags(write=False)
-        self.points = pts
+        self.points = checked_array(np.atleast_2d(pts), (None, dim), "points")
 
     @classmethod
     def empty(cls, dim: int) -> "PointPattern":
@@ -107,8 +92,7 @@ class PointPattern:
 
 
 def _poisson_cdf_table(mean: float) -> np.ndarray:
-    if mean < 0.0 or not math.isfinite(mean):
-        raise ValueError(f"Poisson mean must be finite and >= 0, got {mean!r}")
+    mean = checked_number(mean, "Poisson mean", float, *NONNEGATIVE)
     if mean == 0.0:
         return np.ones(1)
     if mean > MAX_POISSON_MEAN:
@@ -123,8 +107,8 @@ def _poisson_cdf_table(mean: float) -> np.ndarray:
 
 def sample_poisson_counts(rng: RngStream, mean: float, size: int = 1) -> np.ndarray:
     """Poisson(mean) counts by inversion; consumes exactly ``size`` uniforms."""
-    cdf = _poisson_cdf_table(float(mean))
-    u = rng.generator.random(size)
+    cdf = _poisson_cdf_table(mean)
+    u = rng.generator.random(checked_number(size, "size", int, *AT_LEAST_0))
     return np.searchsorted(cdf, u, side="right")
 
 

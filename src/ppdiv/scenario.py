@@ -21,12 +21,12 @@ step builds a model again.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
 from .gaussmix import GaussianMixture, checked_array, log_gauss, mixture_from_dict, mixture_to_dict
+from .gaussmix import AT_LEAST_0, AT_LEAST_1, NONNEGATIVE, POSITIVE, PROBABILITY, checked_number
 from .gmphd import (
     BirthSpawnModel,
     DetectionProfile,
@@ -58,44 +58,22 @@ def _field(name: str, convert, *args):
         raise ConfigError(f"{name}: {exc}") from None
 
 
-def _number(value, kind, test, requirement):
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise TypeError(f"must be a number, got {value!r}")
-    number = kind(value)
-    if kind is int and number != value:
-        raise ValueError(f"must be a whole number, got {value!r}")
-    if not test(number):
-        raise ValueError(f"must be {requirement}, got {number!r}")
-    return number
-
-
-def _step(name, value, test, requirement) -> int:
-    """A TruthTarget step: ``_number``'s whole-number rule, with the step named."""
-    try:
-        return _number(value, int, test, requirement)
-    except (OverflowError, TypeError, ValueError) as exc:
-        raise type(exc)(f"{name} {exc}") from None
-
-
-_POSITIVE = (lambda v: 0.0 < v < math.inf, "finite and > 0")
-_NONNEGATIVE = (lambda v: 0.0 <= v < math.inf, "finite and >= 0")
-
 # (name, type, test, requirement) of every scalar field of ScenarioConfig.
 _SCALARS = (
-    ("step_period", float, *_POSITIVE),
-    ("clutter_rate", float, *_NONNEGATIVE),
-    ("survival_prob", float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
-    ("horizon", int, lambda v: v >= 1, ">= 1"),
-    ("radial_step", float, *_POSITIVE),
-    ("n_radial", int, lambda v: v >= 0, ">= 0"),
-    ("n_angular", int, lambda v: v >= 1, ">= 1"),
-    ("truncation_threshold", float, *_NONNEGATIVE),
-    ("merge_threshold", float, *_NONNEGATIVE),
-    ("max_components", int, lambda v: v >= 1, ">= 1"),
+    ("step_period", float, *POSITIVE),
+    ("clutter_rate", float, *NONNEGATIVE),
+    ("survival_prob", float, *PROBABILITY),
+    ("horizon", int, *AT_LEAST_1),
+    ("radial_step", float, *POSITIVE),
+    ("n_radial", int, *AT_LEAST_0),
+    ("n_angular", int, *AT_LEAST_1),
+    ("truncation_threshold", float, *NONNEGATIVE),
+    ("merge_threshold", float, *NONNEGATIVE),
+    ("max_components", int, *AT_LEAST_1),
     ("extraction_threshold", float, lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
     ("ospa_order", float, lambda v: 1.0 <= v < math.inf, "finite and >= 1"),
-    ("ospa_cutoff", float, *_POSITIVE),
-    ("seed", int, lambda v: v >= 0, ">= 0"),
+    ("ospa_cutoff", float, *POSITIVE),
+    ("seed", int, *AT_LEAST_0),
 )
 
 
@@ -203,11 +181,12 @@ class TruthTarget:
     state: np.ndarray
 
     def __post_init__(self):
-        birth = _step("birth_step", self.birth_step, lambda v: v >= 0, ">= 0")
+        birth = checked_number(self.birth_step, "birth_step", int, *AT_LEAST_0)
         object.__setattr__(self, "birth_step", birth)
         death = self.death_step
         if death is not None:
-            death = _step("death_step", death, lambda v: v > birth, f"> birth_step {birth}")
+            after = (lambda v: v > birth, f"> birth_step {birth}")
+            death = checked_number(death, "death_step", int, *after)
         object.__setattr__(self, "death_step", death)
         object.__setattr__(self, "state", checked_array(self.state, (None,), "state"))
 
@@ -284,7 +263,8 @@ class ScenarioConfig:
             return keep(name, _field(name, convert, getattr(self, name), *args))
 
         for name, *row in _SCALARS:
-            put(name, _number, *row)
+            # The field's name leads the message, so the judge names nothing.
+            put(name, checked_number, "", *row)
         t = self.step_period
         f = put("transition", _matrix, _cv_transition(t), (None, None))
         d = f.shape[0]

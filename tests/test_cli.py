@@ -94,6 +94,21 @@ def test_malformed_mixture_dim_exits_two(tmp_path, capsys, dim):
     assert f"dim must be a whole number, got {dim!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "comp, name",
+    [
+        ({"weight": "1.5", "mean": [0.0, 0.0]}, "components[0].weight"),
+        ({"weight": 1.0, "mean": ["0", 0.0]}, "components[0].mean"),
+    ],
+    ids=["string-weight", "string-mean-entry"],
+)
+def test_string_in_mixture_document_exits_two_naming_it(tmp_path, capsys, comp, name):
+    doc = tmp_path / "m.json"
+    doc.write_text(json.dumps({"dim": 2, "components": [{**comp, "cov": np.eye(2).tolist()}]}))
+    assert main(["divergence", "--a", str(doc), "--b", str(doc)]) == 2
+    assert f"error: {name} " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("policy", ["cs", "stay"])
 def test_sensor_start_outside_area_exits_two(tmp_path, capsys, policy):
     cfg = tmp_path / "outside.json"
@@ -164,6 +179,10 @@ def test_bad_covariance_exits_two_naming_the_field(tmp_path, capsys, field, valu
         {"truth_script": [{"birth_step": True, "state": [1.0, 1.0, 0.0, 0.0]}]},
         {"birth": {"dim": True, "components": []}},
         {"birth": {"dim": 4, "components": [{"weight": True, "mean": [0.0] * 4, "cov": np.eye(4).tolist()}]}},
+        # JSON strings are not numbers, in a matrix or a mixture document.
+        {"meas_noise": [["9", "0"], ["0", "9"]]},
+        {"birth": {"dim": 4, "components": [{"weight": "1.5", "mean": [0.0] * 4, "cov": np.eye(4).tolist()}]}},
+        {"birth": {"dim": 4, "components": [{"weight": 1.0, "mean": ["0", 0, 0, 0], "cov": np.eye(4).tolist()}]}},
     ],
     ids=[
         "null-number",
@@ -187,6 +206,9 @@ def test_bad_covariance_exits_two_naming_the_field(tmp_path, capsys, field, valu
         "boolean-step",
         "boolean-mixture-dim",
         "boolean-mixture-weight",
+        "string-matrix-entry",
+        "string-mixture-weight",
+        "string-mixture-mean-entry",
     ],
 )
 def test_malformed_field_exits_two_naming_it(tmp_path, capsys, doc):

@@ -1,8 +1,10 @@
 """Every array from outside is judged by gaussmix's two checkers: the
 filter models, Gaussians, mixtures, truth targets, mixture documents, grid
 samples and OSPA point sets all reject bad arrays by argument name, and
-covariances by one rule."""
+covariances by one rule.  Every scalar from outside is judged by
+gaussmix.checked_number, which names the argument too."""
 
+import math
 import re
 
 import numpy as np
@@ -10,19 +12,32 @@ import pytest
 
 from ppdiv import (
     ConfigError,
+    DetectionProfile,
     DetectionTerm,
     Gaussian,
     GaussianMixture,
+    HyperVolumeUnit,
     MeasModel,
+    MixturePoissonModel,
     MotionModel,
+    OspaParams,
+    PoissonModel,
+    RngStream,
     ScenarioConfig,
     SpawnTerm,
     TruthTarget,
     config_from_dict,
     csd_poisson_quadrature,
+    extract_states,
     hellinger_sq_quadrature,
+    intensity_grid,
     mixture_from_dict,
+    mixture_scale,
     ospa,
+    prune_merge,
+    run_montecarlo,
+    run_simulation,
+    sample_poisson_counts,
 )
 
 I2 = np.eye(2)
@@ -63,6 +78,9 @@ BAD = {
     "nan": lambda good: np.full(np.shape(good), np.nan),
     "shape": lambda good: np.concatenate([good, np.asarray(good)[:1]]),
     "ndim": lambda good: np.asarray(good)[None],
+    # Numbers only: numpy would parse the strings and read the booleans as 0 or 1.
+    "string": lambda good: np.asarray(good).astype(str),
+    "boolean": lambda good: np.ones(np.shape(good), dtype=bool),
 }
 CASES = [
     pytest.param(name, good, build, kind, id=f"{label}.{name}-{kind}")
@@ -179,3 +197,73 @@ def test_shape_message_names_each_free_size(build, message):
     with pytest.raises(ValueError) as error:
         build()
     assert str(error.value) == message
+
+
+_MIX = GaussianMixture([1.0], [[0.0, 0.0]], [I2])
+_ONE_STEP = ScenarioConfig(horizon=1)
+
+
+def _weighted_doc(weight=1.0, dim=2):
+    comp = {"weight": weight, "mean": [0.0] * 2, "cov": I2.tolist()}
+    return mixture_from_dict({"dim": dim, "components": [comp]})
+
+
+# (label, name in the message, whole number?, build from a value)
+SCALARS = [
+    ("HyperVolumeUnit", "unit hyper-volume", False, lambda v: HyperVolumeUnit(v)),
+    ("mixture_scale", "scale", False, lambda v: mixture_scale(_MIX, v)),
+    ("prune_merge", "truncation_threshold", False, lambda v: prune_merge(_MIX, v)),
+    ("prune_merge", "merge_threshold", False, lambda v: prune_merge(_MIX, 1e-5, v)),
+    ("prune_merge", "max_components", True, lambda v: prune_merge(_MIX, 1e-5, 4.0, v)),
+    ("mixture_from_dict", "dim", True, lambda v: _weighted_doc(dim=v)),
+    ("mixture_from_dict", "components[0].weight", False, lambda v: _weighted_doc(weight=v)),
+    ("MotionModel", "survival_prob", False, lambda v: MotionModel(I2, I2, v)),
+    ("SpawnTerm", "spawn weight", False, lambda v: SpawnTerm(v, I2, [0.0, 0.0], I2)),
+    ("MeasModel", "clutter_rate", False, lambda v: MeasModel(I2, I2, v)),
+    ("DetectionTerm", "detection term weight", False, lambda v: DetectionTerm(v, [0.0, 0.0], I2, I2)),
+    ("DetectionProfile", "constant detection term", False, lambda v: DetectionProfile(v)),
+    ("extract_states", "threshold", False, lambda v: extract_states(_MIX, v)),
+    ("OspaParams", "order", False, lambda v: OspaParams(order=v)),
+    ("OspaParams", "cutoff", False, lambda v: OspaParams(cutoff=v)),
+    (
+        "MixturePoissonModel",
+        "components[0] weight",
+        False,
+        lambda v: MixturePoissonModel(((v, PoissonModel(_MIX)),)),
+    ),
+    ("csd_poisson_quadrature", "cell_volume", False, lambda v: csd_poisson_quadrature([1.0], [2.0], v)),
+    ("hellinger_sq_quadrature", "cell_volume", False, lambda v: hellinger_sq_quadrature([1.0], [2.0], v)),
+    ("intensity_grid", "cells_per_axis", True, lambda v: intensity_grid([_MIX], cells_per_axis=v)),
+    ("intensity_grid", "pad_sigmas", False, lambda v: intensity_grid([_MIX], pad_sigmas=v)),
+    ("RngStream", "seed", True, lambda v: RngStream(v)),
+    ("RngStream", "stream_id", True, lambda v: RngStream(0, v)),
+    ("sample_poisson_counts", "mean", False, lambda v: sample_poisson_counts(RngStream(0), v)),
+    ("sample_poisson_counts", "size", True, lambda v: sample_poisson_counts(RngStream(0), 1.0, v)),
+    ("TruthTarget", "birth_step", True, lambda v: TruthTarget(v, None, np.zeros(4))),
+    ("TruthTarget", "death_step", True, lambda v: TruthTarget(0, v, np.zeros(4))),
+    ("run_simulation", "seed", True, lambda v: run_simulation(_ONE_STEP, seed=v)),
+    ("run_montecarlo", "n_runs", True, lambda v: run_montecarlo(_ONE_STEP, n_runs=v)),
+    ("run_montecarlo", "parallelism", True, lambda v: run_montecarlo(_ONE_STEP, 1, parallelism=v)),
+    ("run_montecarlo", "master_seed", True, lambda v: run_montecarlo(_ONE_STEP, 1, master_seed=v)),
+] + [
+    ("config_from_dict", name, isinstance(getattr(ScenarioConfig, name), int),
+     lambda v, name=name: config_from_dict({name: v}))
+    for name in (
+        "step_period", "clutter_rate", "survival_prob", "horizon", "radial_step", "n_radial",
+        "n_angular", "truncation_threshold", "merge_threshold", "max_components",
+        "extraction_threshold", "ospa_order", "ospa_cutoff", "seed",
+    )
+]
+SCALAR_CASES = [
+    pytest.param(name, build, bad, id=f"{label}.{name}-{bad!r}")
+    for label, name, whole, build in SCALARS
+    for bad in ("1.5", True, math.nan) + (1.7,) * whole
+]
+
+
+@pytest.mark.parametrize("name, build, bad", SCALAR_CASES)
+def test_bad_scalar_is_rejected_by_argument_name(name, build, bad):
+    # A string is not parsed, a bool is not 1, NaN fails every range, and a
+    # count or seed is not truncated.  ConfigError is a ValueError.
+    with pytest.raises(ValueError, match=rf"(^|\W){re.escape(name)}\W"):
+        build(bad)

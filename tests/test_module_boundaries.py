@@ -1,4 +1,5 @@
-"""No module of the package imports a sibling's private name."""
+"""No module of the package imports a sibling's private name, and only
+gaussmix judges what counts as a number."""
 
 import ast
 from pathlib import Path
@@ -31,3 +32,18 @@ def test_no_module_imports_a_siblings_private_name():
     found = {imp for path in SOURCES for imp in _private_imports(path)}
     assert found - ALLOWED == set()
     assert ALLOWED <= found, "an allowed private import is gone; drop it from ALLOWED"
+
+
+def _imported_modules(path: Path):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_only_gaussmix_imports_numbers():
+    # Importing numbers marks a hand-written type judgement: a scalar from
+    # outside goes through gaussmix.checked_number instead.
+    found = {path.stem for path in SOURCES if "numbers" in set(_imported_modules(path))}
+    assert found == {"gaussmix"}
