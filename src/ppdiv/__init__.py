@@ -77,4 +77,13 @@ from .harness import (
     write_mc_csv,
     write_run_csv,
 )
-from .validate import validate_oracles
+
+
+def __getattr__(name):
+    # The oracle battery is the package's largest module and only ``ppdiv
+    # validate`` and its tests run it, so it is compiled on first use.
+    if name == "validate_oracles":
+        from .validate import validate_oracles
+
+        return validate_oracles
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -36,7 +36,6 @@ from .harness import (
 )
 from .pointprocess import RngStream, mc_csd
 from .scenario import ConfigError, load_config
-from .validate import validate_oracles
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -131,6 +130,8 @@ def _cmd_montecarlo(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from .validate import validate_oracles
+
     report = validate_oracles(args.level)
     for entry in report["entries"]:
         status = "ok  " if entry["passed"] else "FAIL"

@@ -26,11 +26,11 @@ missed block and, in each detection block, the p2_i that conditions P_i on
 the detection term's fixed shape and then on the measurement noise.  The
 sensor position moves only weights and means.  So G_pp comes once per step
 from gaussmix.pairwise_log_inner, the one evaluator of Gaussian pair tables
-(on one triangle, in blocks of 2**16 pairs), the factors of P_i + p2_j and
-p2_i + p2_j are taken once per step, as full tables, and each candidate
-evaluates only the mean-dependent Mahalanobis terms of G_pd and G_dd.  Every
-entry is the one pairwise_log_inner would give for the same pair, to the
-last bit.
+(a mirrored self table, in row blocks of about 2**16 pairs), the factors of
+P_i + p2_j and p2_i + p2_j are taken once per step, as full tables, and each
+candidate evaluates only the mean-dependent Mahalanobis terms of G_pd and
+G_dd.  Every entry is the one pairwise_log_inner would give for the same
+pair, to the last bit.
 
 Most detection components are far too light to move a reward's bits, so
 each candidate drops its lightest ones under a proven bound before any pair
@@ -180,9 +180,9 @@ def _score(
         d = update.detected[t][dz, dj]
         md = update.means[t][dz, dj]
         du = np.searchsorted(union, dj)
-        g_pd = np.exp(log_gauss_factored(m[:, None] - md[None], (f_pd[0][:, du], f_pd[1][:, du])))
-        square = np.ix_(du, du)
-        g_dd = np.exp(log_gauss_factored(md[:, None] - md[None], (f_dd[0][square], f_dd[1][square])))
+        g_pd = np.exp(log_gauss_factored(m[:, None] - md[None], (f_pd[0][:, :, du], f_pd[1][:, du])))
+        col = du[:, None]
+        g_dd = np.exp(log_gauss_factored(md[:, None] - md[None], (f_dd[0][:, col, du], f_dd[1][col, du])))
         sq = q - 2.0 * (c @ g_pd @ d) + d @ g_dd @ d
         rewards[index] = csd_from_sq_distance(1.0, sq)
     return rewards

@@ -8,10 +8,18 @@ evaluation, L2 inner products via the identity
 
 moment-matched pruning/merging, and coordinate scaling.  Mixtures are stored
 as flat arrays (weights, means, covariances) so all of these batch through
-numpy's stacked linear algebra; the simulation loop evaluates pairwise
-Gaussian tables with tens of thousands of entries per step and a component
-loop would dominate the runtime.  ``pairwise_log_inner`` is the one evaluator
-of such tables, in blocks of 2**16 pairs, and of a self table on one triangle.
+numpy; the simulation loop evaluates pairwise Gaussian tables with tens of
+thousands of entries per step and a component loop would dominate the
+runtime.
+
+Every evaluation goes through one coordinate-major kernel: ``gauss_factor``
+takes the Cholesky factor with elementwise operations over the whole batch
+and stores it as packed rows (row i(i+1)/2 + j is L_ij for every matrix),
+and ``_maha`` solves against those rows one coordinate row at a time.
+``pairwise_log_inner``, the one evaluator of pair tables, broadcasts each
+block's covariance sums and mean differences straight into that layout, in
+row blocks of about 2**16 pairs; a self table takes only the columns from
+each block's first row on.
 
 ``mixture_log_eval`` evaluates a mixture at many points (the quadrature and
 Monte Carlo oracles).  It factors the covariances once and lays each block
@@ -19,7 +27,7 @@ of about 2**16 (point, component) pairs out component-major, (components,
 points): a quadrature grid or Monte Carlo batch has far more points than the
 mixture has components, so the elementwise kernel runs along long rows.
 
-All evaluation happens in log space through a Cholesky factorization, so
+All evaluation happens in log space through the Cholesky factor, so
 ill-scaled but positive-definite covariances (entries around 1e6 show up in
 the sensor model) stay accurate.
 
@@ -30,6 +38,7 @@ array, ``validate_cov`` for a covariance.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -118,11 +127,13 @@ def _non_numbers(value) -> list:
     return [] if arr.dtype.kind in "iuf" else [x for x in arr.ravel().tolist() if not _is_number(x)]
 
 
-def checked_array(value, shape: tuple, what: str) -> np.ndarray:
+def checked_array(value, shape: tuple, what: str, view=None) -> np.ndarray:
     """A read-only finite float copy of ``value`` whose shape matches
     ``shape``, where a None size is free; otherwise a ValueError naming
     ``what``.  Its entries must be numbers as checked_number counts them.
-    The message names the free sizes n, m, k in turn."""
+    The message names the free sizes n, m, k in turn.  ``view`` (such as
+    np.ravel) reshapes the copy before its shape is checked: the entries
+    are judged as given, before numpy promotes them."""
     try:
         arr = np.array(value)
     except (TypeError, ValueError) as exc:
@@ -133,6 +144,8 @@ def checked_array(value, shape: tuple, what: str) -> np.ndarray:
         arr = arr.astype(float, copy=False)
     except OverflowError:
         raise ValueError(f"{what} has non-finite entries") from None
+    if view is not None:
+        arr = view(arr)
     if arr.ndim != len(shape) or any(n not in (None, k) for n, k in zip(shape, arr.shape)):
         free = iter("nmk")
         shown = ", ".join(next(free) if n is None else str(n) for n in shape)
@@ -182,7 +195,7 @@ class Gaussian:
     cov: np.ndarray
 
     def __post_init__(self):
-        mean = checked_array(np.atleast_1d(self.mean), (None,), "mean")
+        mean = checked_array(self.mean, (None,), "mean", view=np.atleast_1d)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", validate_cov(self.cov, mean.size))
 
@@ -203,10 +216,10 @@ class GaussianMixture:
     __slots__ = ("weights", "means", "covs")
 
     def __init__(self, weights, means, covs):
-        w = checked_array(np.ravel(weights), (None,), "weights")
+        w = checked_array(weights, (None,), "weights", view=np.ravel)
         n = w.size
         # An empty mixture keeps its dimension in the means' shape (0, d).
-        m = checked_array(np.atleast_2d(means) if n else means, (n, None), "means")
+        m = checked_array(means, (n, None), "means", view=np.atleast_2d if n else None)
         d = m.shape[1]
         c = checked_array(covs if n else np.reshape(covs, (0, d, d)), (n, d, d), "covs")
         if np.any(w < 0.0):
@@ -254,53 +267,108 @@ class GaussianMixture:
 # batched Gaussian evaluation
 
 
-def _maha(chol: np.ndarray, diffs: np.ndarray) -> np.ndarray:
-    """Squared Mahalanobis norms diff' C^-1 diff for batched lower Cholesky
-    factors L of C (..., d, d) and diffs (..., d), by solving L y = diff.
+@functools.cache
+def _lower(d: int) -> np.ndarray:
+    # Index in a flattened (d, d) matrix of each packed row i(i+1)/2 + j.
+    return np.flatnonzero(np.tri(d, dtype=bool))
+
+
+def _packed(covs: np.ndarray) -> np.ndarray:
+    """Covariances (..., d, d) as packed rows (p, ...): row i(i+1)/2 + j,
+    i >= j, is C_ij over the whole batch, contiguous."""
+    lower = _lower(covs.shape[-1])
+    return covs.reshape(-1, covs.shape[-1] ** 2).T[lower].reshape(lower.shape + covs.shape[:-2])
+
+
+def _cholesky(c: np.ndarray) -> np.ndarray:
+    """Overwrite the packed rows ``c`` of C with those of its lower Cholesky
+    factor L, and return 0.5 log|C|.
+
+    Column by column, as LAPACK's potf2 goes, l_jj = sqrt(c_jj - sum_k l_jk^2)
+    and l_ij = (c_ij - sum_k l_ik l_jk) (1 / l_jj), each sum added left to
+    right, each step one elementwise operation over the whole batch.  Only
+    correctly rounded operations, so the factor does not depend on the LAPACK
+    build; at d <= 2 it is np.linalg.cholesky's to the bit.
+    """
+    d = math.isqrt(2 * c.shape[0])
+    rows = [c[k, ...] for k in range(c.shape[0])]
+    acc = np.empty(c.shape[1:])
+    term = np.empty(c.shape[1:]) if d >= 3 else None
+    # A pivot that is not > 0 turns its l_jj into 0 or NaN, so its log into
+    # -inf or NaN; the check waits for the logs, and nothing warns before it.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in range(d):
+            lj = rows[j * (j + 1) // 2 :]
+            for i in range(j, d):
+                li = rows[i * (i + 1) // 2 :]
+                if j:
+                    np.multiply(li[0], lj[0], out=acc)
+                    for k in range(1, j):
+                        acc += np.multiply(li[k], lj[k], out=term)
+                    np.subtract(li[j], acc, out=li[j])
+                if i == j:
+                    np.sqrt(lj[j], out=lj[j])
+                    inv = np.divide(1.0, lj[j])
+                else:
+                    li[j] *= inv
+        half = np.log(rows[0])
+        for j in range(1, d):
+            half += np.log(rows[j * (j + 3) // 2])
+    if not (half > -math.inf).all():
+        raise ValueError("covariance in batched evaluation is not positive definite")
+    return half
+
+
+def _maha(chol: np.ndarray, diffs) -> np.ndarray:
+    """Squared Mahalanobis norms diff' C^-1 diff, by solving L y = diff, for
+    factors L as gauss_factor packs them (p, ...) and diffs as coordinate
+    rows, d of them, each over the batch.
 
     d is small (<= 4 in the tracking scenario), so the solve runs row by row,
-    each step one elementwise operation over the whole batch, on the factor
-    entries L[..., i, j] and on contiguous rows y_i, in place.  Every sum (a
-    row's L_ij y_j, and the final sum of the y_i^2) adds its terms left to
-    right, at any d; elementwise products and sums round the same in every
-    batch layout, so each value is a function of its own L and diff alone.
+    each step one elementwise operation over the whole batch, on factor rows
+    and on rows y_i, in place.  Every sum (a row's L_ij y_j, and the final
+    sum of the y_i^2) adds its terms left to right, at any d; elementwise
+    products and sums round the same in every batch layout, so each value is
+    a function of its own L and diff alone.
     """
-    d = chol.shape[-1]
-    shape = np.broadcast_shapes(chol.shape[:-2], diffs.shape[:-1])
-    y = np.empty((d,) + shape)
-    term = np.empty(shape) if d >= 3 else None
+    d = len(diffs)
+    y = np.empty((d,) + np.broadcast(chol[0], diffs[0]).shape)
+    term = np.empty(y.shape[1:]) if d >= 3 else None
     for i in range(d):
+        ri = i * (i + 1) // 2
         yi = y[i, ...]
         if i:
-            np.multiply(chol[..., i, 0], y[0, ...], out=yi)
+            np.multiply(chol[ri], y[0], out=yi)
             for j in range(1, i):
-                yi += np.multiply(chol[..., i, j], y[j, ...], out=term)
-            np.subtract(diffs[..., i], yi, out=yi)
-        np.divide(yi if i else diffs[..., 0], chol[..., i, i], out=yi)
+                yi += np.multiply(chol[ri + j], y[j], out=term)
+            np.subtract(diffs[i], yi, out=yi)
+        np.divide(yi if i else diffs[0], chol[ri + i], out=yi)
     # In place: each row is squared after the solve has read it for the last time.
-    total = np.square(y[0, ...], out=y[0, ...])
+    total = np.square(y[0], out=y[0, ...])
     for i in range(1, d):
-        total += np.square(y[i, ...], out=y[i, ...])
+        total += np.square(y[i], out=y[i, ...])
     return total
 
 
 def gauss_factor(covs) -> tuple[np.ndarray, np.ndarray]:
     """(L, 0.5 log|C|) for batched covariances C (..., d, d), with L the lower
-    Cholesky factor: everything ``log_gauss_factored`` needs of C."""
-    covs = np.asarray(covs, dtype=float)
-    try:
-        chol = np.linalg.cholesky(covs)
-    except np.linalg.LinAlgError:
-        raise ValueError("covariance in batched evaluation is not positive definite") from None
-    return chol, np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
+    Cholesky factor as packed rows (p, ...): row i(i+1)/2 + j is L_ij over
+    the batch.  Everything ``log_gauss_factored`` needs of C."""
+    chol = _packed(np.asarray(covs, dtype=float))
+    return chol, _cholesky(chol)
 
 
 def log_gauss_factored(diffs: np.ndarray, factor: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """log N(diff; 0, C) for batched diffs (..., d), from ``factor`` =
-    gauss_factor(C); the factor broadcasts against ``diffs``."""
+    gauss_factor(C); the factor's batch broadcasts against the diffs'."""
     chol, logdet_half = factor
     diffs = np.asarray(diffs, dtype=float)
-    return -0.5 * (_maha(chol, diffs) + diffs.shape[-1] * _LOG_2PI) - logdet_half
+    d = diffs.shape[-1]
+    out = _maha(chol, [diffs[..., i] for i in range(d)])
+    out += d * _LOG_2PI
+    out *= -0.5
+    out -= logdet_half
+    return out
 
 
 def log_gauss(diffs: np.ndarray, covs: np.ndarray) -> np.ndarray:
@@ -347,10 +415,9 @@ def bhatt_coeff(diff: np.ndarray, cov0: np.ndarray, cov1: np.ndarray) -> float:
     """gauss_bhatt_coeff from the mean difference m0 - m1 (d,) and the
     covariances P0, P1 (d, d), arrays already known to be finite, symmetric
     and positive definite (such as one mixture component's)."""
-    pbar = 0.5 * (cov0 + cov1)
-    chol = np.linalg.cholesky(pbar)
+    chol, logdet_half = gauss_factor(0.5 * (cov0 + cov1))
     maha = float(_maha(chol, diff))
-    logdet_bar = 2.0 * float(np.log(np.diagonal(chol)).sum())
+    logdet_bar = 2.0 * float(logdet_half)
     _, logdet0 = np.linalg.slogdet(cov0)
     _, logdet1 = np.linalg.slogdet(cov1)
     log_cb = -0.125 * maha - 0.5 * (logdet_bar - 0.5 * (logdet0 + logdet1))
@@ -375,29 +442,35 @@ def _active(u: GaussianMixture):
 
 
 def pairwise_log_inner(means_a, covs_a, means_b, covs_b) -> np.ndarray:
-    """Matrix of log N(m_a_i; m_b_j, P_a_i + P_b_j), shape (na, nb), in blocks
-    of 2**16 pairs.  Given the same arrays on both sides, each unordered pair
-    is evaluated once and mirrored: P_i + P_j is the same in both orders and
-    the differences are exact negatives, so the table is bitwise symmetric."""
+    """Matrix of log N(m_a_i; m_b_j, P_a_i + P_b_j), shape (na, nb).
+
+    Rows of a go in blocks of about 2**16 pairs against the columns of b.
+    The covariance sums and mean differences of a block are formed by
+    broadcasting, straight into the packed coordinate-major rows the kernel
+    reads.  Given the same arrays on both sides, a block takes only the
+    columns from its first row on and is mirrored: P_i + P_j is the same sum
+    in both orders and the differences are exact negatives, so the table is
+    bitwise symmetric."""
     na, nb = means_a.shape[0], means_b.shape[0]
     out = np.empty((na, nb))
+    if na == 0 or nb == 0:
+        return out
     same = means_a is means_b and covs_a is covs_b
-    tri = np.triu_indices(na) if same else None
-    size = tri[0].size if same else na * nb
-    for lo in range(0, size, BLOCK):
+    ca, ma = _packed(covs_a), means_a.T
+    cb, mb = (ca, ma) if same else (_packed(covs_b), means_b.T)
+    lo = 0
+    while lo < na:
+        first = lo if same else 0
+        rows = slice(lo, min(na, lo + max(1, BLOCK // (nb - first))))
+        cols = slice(first, nb)
+        chol = ca[:, rows, None] + cb[:, None, cols]
+        diffs = ma[:, rows, None] - mb[:, None, cols]
+        half = _cholesky(chol)
+        block = log_gauss_factored(np.moveaxis(diffs, 0, -1), (chol, half))
+        out[rows, cols] = block
         if same:
-            a, b = tri[0][lo : lo + BLOCK], tri[1][lo : lo + BLOCK]
-        else:
-            # Each block's cross pairs come from its own flat range.
-            a, b = np.divmod(np.arange(lo, min(lo + BLOCK, size)), nb)
-        diffs = np.take(means_a, a, 0) - np.take(means_b, b, 0)
-        # Factored within the call, so the covariance sums are freed before
-        # the solve runs.
-        out[a, b] = log_gauss_factored(
-            diffs, gauss_factor(np.take(covs_a, a, 0) + np.take(covs_b, b, 0))
-        )
-    if same:
-        out[tri[::-1]] = out[tri]
+            out[cols, rows] = block.T
+        lo = rows.stop
     return out
 
 
@@ -431,7 +504,7 @@ def mixture_log_eval(u: GaussianMixture, points: np.ndarray) -> np.ndarray:
     if n == 0 or m == 0:
         return np.full(m, -np.inf)
     chol, logdet_half = gauss_factor(covs)
-    factor = (chol[:, None], logdet_half[:, None])
+    factor = (chol[:, :, None], logdet_half[:, None])
     logw = np.log(w)[:, None]
     out = np.empty(m)
     chunk = max(1, BLOCK // n)
@@ -483,7 +556,7 @@ def prune_merge(
     upcoming pivot and one column per component still remaining, from the
     Cholesky factors of the kept covariances; the greedy loop only indexes
     it.  The rows are built in blocks of max(1, 2**16 // n) pivots, so the
-    table and its (rows, n, d) intermediates hold about max(2**16, n) d
+    table and its (d, rows, n) intermediates hold about max(2**16, n) d
     floats however many components come in, never n^2 d; rows of pivots
     absorbed by an earlier pivot of their own block are wasted work.
     """
@@ -496,7 +569,7 @@ def prune_merge(
     w = u.weights[keep]
     m = u.means[keep]
     c = u.covs[keep]
-    chol = np.linalg.cholesky(c)
+    chol = gauss_factor(c)[0]
     out_w: list[float] = []
     out_m: list[np.ndarray] = []
     out_c: list[np.ndarray] = []
@@ -510,7 +583,7 @@ def prune_merge(
         if pivots.size == 0:
             continue
         cols = np.flatnonzero(remaining)
-        gate = _maha(chol[cols], m[cols] - m[pivots][:, None]) <= merge_threshold
+        gate = _maha(chol[:, cols], m.T[:, None, cols] - m.T[:, pivots, None]) <= merge_threshold
         for j, near in zip(pivots, gate):
             if not remaining[j]:
                 continue

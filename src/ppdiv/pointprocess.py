@@ -27,7 +27,7 @@ from scipy.special import logsumexp
 
 from .divergence import MixturePoissonModel, PoissonModel, check_pair
 from .gaussmix import BLOCK, GaussianMixture, mixture_log_eval
-from .gaussmix import AT_LEAST_0, NONNEGATIVE, checked_array, checked_number
+from .gaussmix import AT_LEAST_0, AT_LEAST_1, NONNEGATIVE, checked_array, checked_number
 
 MAX_MC_MASS = 5.0
 # The largest Poisson mean whose count sample_poisson_counts draws by table
@@ -61,14 +61,16 @@ class PointPattern:
     __slots__ = ("points",)
 
     def __init__(self, points, dim: int | None = None):
+        if dim is not None:
+            dim = checked_number(dim, "dim", int, *AT_LEAST_1, kind_requirement="a whole number")
         pts = np.asarray(points)
         if pts.size == 0:
             if pts.ndim == 2:
                 dim = pts.shape[1] if dim is None else dim
             if dim is None:
                 raise ValueError("empty pattern needs an explicit dim")
-            pts = pts.reshape(0, dim)
-        self.points = checked_array(np.atleast_2d(pts), (None, dim), "points")
+            points = pts.reshape(0, dim)
+        self.points = checked_array(points, (None, dim), "points", view=np.atleast_2d)
 
     @classmethod
     def empty(cls, dim: int) -> "PointPattern":
@@ -235,8 +237,7 @@ def mc_inner_product(rng: RngStream, a, b, n: int) -> tuple[float, float]:
     Returns (estimate, standard_error) from ``n`` independent draws of the
     ``a`` process.
     """
-    if n < 2:
-        raise ValueError("need at least 2 samples for a standard error")
+    n = checked_number(n, "n", int, lambda v: v >= 2, ">= 2 for a standard error")
     check_pair(a, b)
     counts, points, owner = _sample_pattern_batch(rng, a, n)
     vals = np.exp(_log_density_batch(b, counts, points, owner))

@@ -25,7 +25,8 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
-from .gaussmix import GaussianMixture, checked_array, log_gauss, mixture_from_dict, mixture_to_dict
+from .gaussmix import GaussianMixture, checked_array, gauss_factor, log_gauss
+from .gaussmix import mixture_from_dict, mixture_to_dict
 from .gaussmix import AT_LEAST_0, AT_LEAST_1, NONNEGATIVE, POSITIVE, PROBABILITY, checked_number
 from .gmphd import (
     BirthSpawnModel,
@@ -421,7 +422,8 @@ def generate_measurements(
         hits = coins < pd
         n_hit = int(hits.sum())
         noise = gen.standard_normal((n_hit, cfg.meas_dim))
-        chol = np.linalg.cholesky(cfg.meas_noise)
+        chol = np.zeros((cfg.meas_dim, cfg.meas_dim))
+        chol[np.tril_indices(cfg.meas_dim)] = gauss_factor(cfg.meas_noise)[0]
         detected = truth.states[hits] @ h.T + noise @ chol.T
     crng = clutter_rng if clutter_rng is not None else rng
     count = int(sample_poisson_counts(crng, cfg.clutter_mass, 1)[0])

@@ -151,6 +151,20 @@ def test_pairwise_self_table_is_symmetric_and_equals_cross_route(n):
     assert cross.tobytes() == whole.tobytes()
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_pairwise_table_is_bitwise_a_per_pair_loop(d):
+    # 300 x 250 cross pairs take blocks of 65_536 // 250 = 262 rows, so the
+    # second block is partial; the 300-component self table takes 218 rows,
+    # then the other 82 against the columns from row 218 on.
+    rng = RngStream(60 + d)
+    a = random_mixture(rng.child(0), d, 300, 3.0)
+    b = random_mixture(rng.child(1), d, 250, 3.0)
+    for u, v in ((a, b), (a, a)):
+        loop = np.stack([log_gauss(m - v.means, c + v.covs) for m, c in zip(u.means, u.covs)])
+        table = pairwise_log_inner(u.means, u.covs, v.means, v.covs)
+        assert table.tobytes() == loop.tobytes()
+
+
 def test_self_inner_product_memory_stays_bounded():
     # Unblocked, the 600 x 600 stack of 4 x 4 covariance sums alone takes
     # 44 MiB and its Cholesky factors as much again; blocks of 2**16 pairs
@@ -197,10 +211,30 @@ def ordered_maha(chol, diffs):
     return fixed_order_sum([yi * yi for yi in y])
 
 
+def ordered_factor(covs):
+    # The lower Cholesky factor, column by column, each sum in the fixed order:
+    # l_jj = sqrt(c_jj - sum_k l_jk^2), l_ij = (c_ij - sum_k l_ik l_jk) (1 / l_jj).
+    d = covs.shape[-1]
+    chol = np.zeros(covs.shape)
+    for j in range(d):
+        for i in range(j, d):
+            acc = covs[..., i, j]
+            if j:
+                acc = acc - fixed_order_sum([chol[..., i, k] * chol[..., j, k] for k in range(j)])
+            chol[..., i, j] = np.sqrt(acc) if i == j else acc * (1.0 / chol[..., j, j])
+    return chol
+
+
+def packed(chol):
+    # Matrix-layout factors (..., d, d) as the kernel's packed rows (p, ...).
+    return np.moveaxis(chol, (-2, -1), (0, 1))[np.tril_indices(chol.shape[-1])]
+
+
 def ordered_log_gauss(diffs, covs):
-    chol = np.linalg.cholesky(covs)
-    logdet_half = np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
-    return -0.5 * (ordered_maha(chol, diffs) + diffs.shape[-1] * _LOG_2PI) - logdet_half
+    chol = ordered_factor(covs)
+    d = covs.shape[-1]
+    logdet_half = fixed_order_sum([np.log(chol[..., i, i]) for i in range(d)])
+    return -0.5 * (ordered_maha(chol, diffs) + d * _LOG_2PI) - logdet_half
 
 
 def spd_stack(gen, shape, d):
@@ -232,23 +266,73 @@ def caller_layouts(d, seed):
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
 def test_maha_adds_in_its_fixed_order_in_every_caller_layout(d):
     for name, covs, diffs in caller_layouts(d, 100 + d):
-        chol = np.linalg.cholesky(covs)
-        np.testing.assert_array_equal(_maha(chol, diffs), ordered_maha(chol, diffs), err_msg=name)
+        chol = ordered_factor(covs)
+        rows = np.moveaxis(diffs, -1, 0)
+        np.testing.assert_array_equal(_maha(packed(chol), rows), ordered_maha(chol, diffs), err_msg=name)
         np.testing.assert_array_equal(
             log_gauss_factored(diffs, gauss_factor(covs)), ordered_log_gauss(diffs, covs), err_msg=name
         )
-        # Strided diffs, as mixture_log_eval hands them over, change nothing.
-        strided = np.moveaxis(np.ascontiguousarray(np.moveaxis(diffs, -1, 0)), 0, -1)
-        np.testing.assert_array_equal(_maha(chol, strided), ordered_maha(chol, diffs), err_msg=name)
+        # Contiguous coordinate rows, as pairwise_log_inner hands them over, change nothing.
+        np.testing.assert_array_equal(
+            _maha(packed(chol), np.ascontiguousarray(rows)), ordered_maha(chol, diffs), err_msg=name
+        )
 
 
 @pytest.mark.parametrize("d", [5, 6])
 def test_maha_beyond_four_dimensions_matches_solve(d):
     for name, covs, diffs in caller_layouts(d, 100 + d):
-        chol = np.linalg.cholesky(covs)
+        chol = ordered_factor(covs)
         shape = np.broadcast_shapes(covs.shape[:-2], diffs.shape[:-1])
         y = np.linalg.solve(np.broadcast_to(chol, shape + (d, d)), np.broadcast_to(diffs, shape + (d,))[..., None])
-        np.testing.assert_allclose(_maha(chol, diffs), (y[..., 0] ** 2).sum(axis=-1), rtol=1e-12, err_msg=name)
+        maha = _maha(packed(chol), np.moveaxis(diffs, -1, 0))
+        np.testing.assert_allclose(maha, (y[..., 0] ** 2).sum(axis=-1), rtol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+def test_factor_is_lapacks_to_the_bit_up_to_two_dimensions_and_to_rounding_beyond(d):
+    gen = np.random.default_rng(200 + d)
+    a = gen.standard_normal((20_000, d, d))
+    covs = (a @ np.swapaxes(a, -1, -2) + d * np.eye(d)) * 10.0 ** gen.uniform(-3, 3, (20_000, 1, 1))
+    covs = np.concatenate([covs, spd_stack(gen, (20_000,), d)])
+    chol, logdet_half = gauss_factor(covs)
+    assert chol.tobytes() == packed(ordered_factor(covs)).tobytes()
+    lapack = np.linalg.cholesky(covs)
+    if d <= 2:
+        assert chol.tobytes() == packed(lapack).tobytes()
+        want = np.log(np.diagonal(lapack, axis1=-2, axis2=-1)).sum(axis=-1)
+        assert logdet_half.tobytes() == want.tobytes()
+    else:
+        # Row i of L is at most sqrt(C_ii) in size; on the well-conditioned
+        # half, LAPACK's factor agrees to 1e-12 of that.
+        scale = np.sqrt(np.diagonal(covs, axis1=-2, axis2=-1).T[np.tril_indices(d)[0]])
+        well = slice(0, 20_000)
+        assert np.all(np.abs(chol - packed(lapack))[:, well] <= 1e-12 * scale[:, well])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", ["zero", "indefinite", "nan pivot", "nan entry"])
+def test_factor_rejects_a_covariance_that_is_not_positive_definite(d, kind):
+    bad = np.eye(d)
+    if kind == "zero":
+        bad[:] = 0.0
+    elif kind == "indefinite":
+        bad -= 2.0 / d
+    elif kind == "nan pivot":
+        bad[-1, -1] = np.nan
+    else:
+        bad[0, -1] = bad[-1, 0] = np.nan
+    # One bad matrix among good ones; numpy's warnings are errors here, so
+    # no warning may escape before the error.
+    covs = np.stack([np.eye(d)] * 3 + [bad] + [np.eye(d)] * 2)
+    message = "^covariance in batched evaluation is not positive definite$"
+    for build in (
+        lambda: gauss_factor(covs),
+        lambda: log_gauss(np.zeros(d), covs),
+        lambda: log_gauss(np.zeros(d), bad),
+        lambda: pairwise_log_inner(np.zeros((6, d)), covs, np.zeros((1, d)), np.zeros((1, d, d))),
+    ):
+        with pytest.raises(ValueError, match=message):
+            build()
 
 
 def point_major_log_eval(u, points):

@@ -21,6 +21,7 @@ from ppdiv import (
     MixturePoissonModel,
     MotionModel,
     OspaParams,
+    PointPattern,
     PoissonModel,
     RngStream,
     ScenarioConfig,
@@ -31,6 +32,8 @@ from ppdiv import (
     extract_states,
     hellinger_sq_quadrature,
     intensity_grid,
+    mc_csd,
+    mc_inner_product,
     mixture_from_dict,
     mixture_scale,
     ospa,
@@ -143,6 +146,21 @@ def test_config_names_a_non_square_transition_itself():
         ScenarioConfig(transition=[[1, 2, 3]])
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: GaussianMixture([True, 2.0], [[0, 0], [1, 1]], [I2, I2]), "weights entries must be numbers, got True"),
+        (lambda: Gaussian([True, 0.5], I2), "mean entries must be numbers, got True"),
+        (lambda: PointPattern([[True, 2.0]]), "points entries must be numbers, got True"),
+    ],
+    ids=["GaussianMixture.weights", "Gaussian.mean", "PointPattern.points"],
+)
+def test_boolean_among_numbers_is_rejected_before_reshaping(build, message):
+    # numpy reshaping the list first would promote the bool to 1.0.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
 def test_mixture_document_rejects_booleans():
     # Python counts a JSON true as the integer 1; a mixture document does not.
     comp = {"weight": 1.0, "mean": [0.0, 0.0], "cov": I2.tolist()}
@@ -200,6 +218,7 @@ def test_shape_message_names_each_free_size(build, message):
 
 
 _MIX = GaussianMixture([1.0], [[0.0, 0.0]], [I2])
+_MODEL = PoissonModel(_MIX)
 _ONE_STEP = ScenarioConfig(horizon=1)
 
 
@@ -239,6 +258,9 @@ SCALARS = [
     ("RngStream", "stream_id", True, lambda v: RngStream(0, v)),
     ("sample_poisson_counts", "mean", False, lambda v: sample_poisson_counts(RngStream(0), v)),
     ("sample_poisson_counts", "size", True, lambda v: sample_poisson_counts(RngStream(0), 1.0, v)),
+    ("PointPattern", "dim", True, lambda v: PointPattern([], dim=v)),
+    ("mc_inner_product", "n", True, lambda v: mc_inner_product(RngStream(0), _MODEL, _MODEL, v)),
+    ("mc_csd", "n", True, lambda v: mc_csd(RngStream(0), _MODEL, _MODEL, v)),
     ("TruthTarget", "birth_step", True, lambda v: TruthTarget(v, None, np.zeros(4))),
     ("TruthTarget", "death_step", True, lambda v: TruthTarget(0, v, np.zeros(4))),
     ("run_simulation", "seed", True, lambda v: run_simulation(_ONE_STEP, seed=v)),

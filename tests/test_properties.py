@@ -41,7 +41,7 @@ from ppdiv import (
 from ppdiv import harness
 from ppdiv.control import _evaluate_candidate, _kept, _score, select_action
 from ppdiv.divergence import csd_from_sq_distance
-from ppdiv.gaussmix import _maha, log_gauss, mixture_inner, pairwise_log_inner
+from ppdiv.gaussmix import _maha, gauss_factor, log_gauss, mixture_inner, pairwise_log_inner
 from ppdiv.gmphd import phd_update_at_centers
 from ppdiv.harness import run_simulation
 from ppdiv.scenario import in_area
@@ -449,13 +449,13 @@ def greedy_reference(u, truncation, gate, cap):
     passes its gate, each gate evaluated when its pivot comes up."""
     keep = u.weights >= truncation
     w, m, c = u.weights[keep], u.means[keep], u.covs[keep]
-    chol = np.linalg.cholesky(c)
+    chol = gauss_factor(c)[0]
     out = []
     remaining = np.ones(w.size, dtype=bool)
     while remaining.any():
         idx = np.flatnonzero(remaining)
         j = idx[np.argmax(w[idx])]
-        group = idx[_maha(chol[idx], m[idx] - m[j]) <= gate]
+        group = idx[_maha(chol[:, idx], (m[idx] - m[j]).T) <= gate]
         remaining[group] = False
         wg = w[group]
         total = float(wg.sum())
