@@ -54,9 +54,9 @@ kept set: the same quadratic form over fewer terms, with no threshold to
 set.
 ``reward`` keeps the direct route (phd_update and three mixture inner
 products per position, every term kept): it is the reference the scorer is
-tested against.  The scorer returns rewards only; select_action runs
-phd_update once, at the chosen position, for the one posterior preview it
-hands back.
+tested against.  The scorer hands back the batched update with its rewards,
+and select_action lays out the chosen candidate's posterior preview from it
+(CenteredUpdates.posterior), so a step runs the look-ahead update once.
 """
 
 from __future__ import annotations
@@ -141,8 +141,10 @@ def _score(
     z_star: PointPattern,
     positions: np.ndarray,
     cfg: ScenarioConfig,
-) -> np.ndarray:
-    """Reward of every candidate position; no posterior is built.
+) -> tuple[np.ndarray, CenteredUpdates | None]:
+    """Reward of every candidate position, and the hypothetical update they
+    are read from, one center per in-area candidate in grid order (None if
+    there is none); no posterior is laid out.
 
     The hypothetical update runs once for all in-area candidates.  Each
     reward is (1/2) ||u - v||^2 over the predicted components (weights
@@ -156,7 +158,7 @@ def _score(
     rewards = np.full(len(positions), -math.inf)
     inside = np.flatnonzero([in_area(p, cfg) for p in positions])
     if inside.size == 0:
-        return rewards
+        return rewards, None
     update = phd_update_at_centers(
         predicted, z_star, cfg.detection_term, positions[inside], cfg.planning_model
     )
@@ -185,7 +187,7 @@ def _score(
         g_dd = np.exp(log_gauss_factored(md[:, None] - md[None], (f_dd[0][:, col, du], f_dd[1][col, du])))
         sq = q - 2.0 * (c @ g_pd @ d) + d @ g_dd @ d
         rewards[index] = csd_from_sq_distance(1.0, sq)
-    return rewards
+    return rewards, update
 
 
 def _evaluate_candidate(
@@ -195,7 +197,7 @@ def _evaluate_candidate(
     cfg: ScenarioConfig,
 ) -> float:
     """Reward of one candidate position."""
-    return float(_score(predicted, z_star, position, cfg)[0])
+    return float(_score(predicted, z_star, position, cfg)[0][0])
 
 
 def reward(
@@ -234,11 +236,12 @@ def select_action(
     Returns (chosen position, evaluations for every candidate).  The earliest
     best candidate wins, implementing the smallest-displacement-then-
     smallest-angle tie-break.  The chosen evaluation alone carries a
-    posterior preview, from phd_update at its position.
+    posterior preview: the posterior its reward was scored on, laid out from
+    the scorer's update, so no update runs after the scoring.
     """
     candidates = action_positions(s_prev, cfg)
     z_star = ideal_measurements(predicted, cfg.observation, cfg.extraction_threshold)
-    rewards = _score(predicted, z_star, candidates, cfg)
+    rewards, update = _score(predicted, z_star, candidates, cfg)
     evaluations = [
         ActionEvaluation(idx, position, value, None)
         for idx, (position, value) in enumerate(zip(candidates, rewards))
@@ -246,7 +249,7 @@ def select_action(
     best = best_index(evaluations)
     if math.isinf(evaluations[best].reward):
         raise RuntimeError("every candidate position is outside the surveillance area")
-    profile = detection_profile(cfg, candidates[best])
-    preview = phd_update(predicted, z_star, profile, cfg.planning_model)
+    # The update's centers are the in-area candidates, the ones not at -inf.
+    preview = update.posterior(int(np.count_nonzero(rewards[:best] != -math.inf)))
     evaluations[best] = replace(evaluations[best], posterior_preview=preview)
     return candidates[best], evaluations

@@ -108,8 +108,12 @@ class MixturePoissonModel:
         return self.components[0][1].unit
 
 
-def check_pair(a, b) -> None:
-    """ValueError unless processes ``a`` and ``b`` share dimension and unit."""
+def check_pair(a, b, kinds: tuple) -> None:
+    """ValueError unless processes ``a`` and ``b`` are instances of
+    ``kinds`` and share dimension and unit."""
+    for model in (a, b):
+        if not isinstance(model, kinds):
+            raise ValueError(f"expected {' or '.join(k.__name__ for k in kinds)}, got {type(model).__name__}")
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     if a.unit != b.unit:
@@ -128,7 +132,7 @@ def csd_poisson_gm(a: PoissonModel, b: PoissonModel) -> float:
     Symmetric, zero iff the intensities coincide, linear in the unit
     hyper-volume k.
     """
-    check_pair(a, b)
+    check_pair(a, b, (PoissonModel,))
     u, v = a.intensity, b.intensity
     return csd_from_sq_distance(
         a.unit.k, mixture_inner(u, u) + mixture_inner(v, v) - 2.0 * mixture_inner(u, v)
@@ -170,7 +174,7 @@ def csd_poisson_mixture(fa: MixturePoissonModel, fb: MixturePoissonModel) -> flo
     log-sums are combined in log space.  With one component of weight 1 on
     each side this reduces exactly to csd_poisson_gm.
     """
-    check_pair(fa, fb)
+    check_pair(fa, fb, (MixturePoissonModel,))
     parts = [model.intensity for _, model in fa.components + fb.components]
     keep = [u.weights > 0.0 for u in parts]
     w = np.concatenate([u.weights[kept] for u, kept in zip(parts, keep)])
@@ -203,7 +207,7 @@ def bhatt_poisson_gaussian(a: PoissonModel, b: PoissonModel) -> float:
     Equals the squared Hellinger distance between the intensity measures;
     independent of the unit hyper-volume.
     """
-    check_pair(a, b)
+    check_pair(a, b, (PoissonModel,))
     for name, model in (("a", a), ("b", b)):
         if len(model.intensity) != 1:
             raise ValueError(

@@ -4,7 +4,8 @@ The filter propagates a Gaussian-mixture approximation of the first-moment
 (intensity) function of the multi-target state.  Prediction pushes each
 component through survival / spawn / birth; the update splits the predicted
 intensity into a missed-detection part and one detection part per
-measurement.
+measurement.  One private core runs the update, for phd_update at the
+profile's own centers and for phd_update_at_centers at many.
 
 The detection probability is a constant plus Gaussian terms in a projection
 of the state,
@@ -27,12 +28,13 @@ nonnegative.
 from __future__ import annotations
 
 import copy
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussmix import GaussianMixture, checked_array, log_gauss, validate_cov
-from .gaussmix import NONNEGATIVE, PROBABILITY, checked_number
+from .gaussmix import GaussianMixture, checked_array, gauss_factor, log_gauss, log_gauss_factored
+from .gaussmix import NONNEGATIVE, PROBABILITY, checked_number, validate_cov
 from .pointprocess import PointPattern
 
 _EPS_MASS = 1e-12
@@ -139,6 +141,14 @@ class MeasModel:
     def meas_dim(self) -> int:
         return self.observation.shape[0]
 
+    @functools.cached_property
+    def noise_factor(self) -> np.ndarray:
+        """Lower triangular L with L L' = R, gauss_factor's factor of R as a
+        matrix, taken once per model; it draws the measurement noise."""
+        chol = np.zeros((self.meas_dim, self.meas_dim))
+        chol[np.tril_indices(self.meas_dim)] = gauss_factor(self.noise)[0]
+        return chol
+
 
 def clutter_intensity(meas: MeasModel, zs: np.ndarray) -> np.ndarray:
     """Clutter intensity at measurement locations: the rate inside the region, 0 outside."""
@@ -152,7 +162,8 @@ def clutter_intensity(meas: MeasModel, zs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DetectionTerm:
-    """One Gaussian detection term w * N(D x; c, S)."""
+    """One Gaussian detection term w * N(D x; c, S); its ``factor``,
+    gauss_factor(S), is taken once and shared by every copy ``at`` makes."""
 
     weight: float
     center: np.ndarray
@@ -168,6 +179,7 @@ class DetectionTerm:
         object.__setattr__(self, "projection", d)
         self._match(d.shape[0], c)
         object.__setattr__(self, "cov", validate_cov(self.cov, c.size))
+        object.__setattr__(self, "factor", gauss_factor(self.cov))
 
     @staticmethod
     def _match(rows: int, center: np.ndarray) -> None:
@@ -192,7 +204,7 @@ class DetectionTerm:
         (k, m), the term moved to each of them, shape (n, k)."""
         y = states @ self.projection.T
         diffs = y - self.center if centers is None else y[:, None, :] - centers[None, :, :]
-        return self.weight * np.exp(log_gauss(diffs, self.cov))
+        return self.weight * np.exp(log_gauss_factored(diffs, self.factor))
 
 
 @dataclass(frozen=True)
@@ -318,42 +330,13 @@ def _kalman(means, covs, projection, noise, targets):
     return q, m1, 0.5 * (p1 + np.swapaxes(p1, -1, -2))
 
 
-def _condition_on_terms(predicted: GaussianMixture, profile: DetectionProfile):
-    """Per (component, detection-term) conditioning.
-
-    Returns stacked arrays (weights, means, covs) over the constant slot, if
-    w0 > 0, followed by each Gaussian term, each block in predicted-component
-    order.  In the constant slot the component passes through with q = 1; for
-    a Gaussian term, N(x; m, P) N(D x; c, S) = q N(x; m', P'), the Kalman
-    conditioning of N(x; m, P) on D x = c with noise S.
-    """
-    w, m, p = predicted.weights, predicted.means, predicted.covs
-    blocks = [(profile.constant * w, m, p)] if profile.constant > 0.0 else []
-    for term in profile.terms:
-        q, m1, p1 = _kalman(m, p, term.projection, term.cov, term.center[None, :])
-        blocks.append((term.weight * w * q[:, 0], m1[:, 0], p1))
-    if not blocks:
-        return w[:0], m[:0], p[:0]
-    return tuple(np.concatenate(arrays) for arrays in zip(*blocks))
-
-
-def _check_update(predicted: GaussianMixture, measurements: PointPattern, meas: MeasModel):
-    d = predicted.dim
-    if meas.state_dim != d:
-        raise ValueError(f"observation matrix expects state dim {meas.state_dim}, got {d}")
-    if measurements.dim != meas.meas_dim:
-        raise ValueError(
-            f"measurements have dimension {measurements.dim}, model has {meas.meas_dim}"
-        )
-
-
 def _missed_weights(weights, w_cond, pd_at_means):
     """Missed-detection weights: the exact missed mass T = mass - sum(w_cond)
     spread over the predicted components in proportion to their plug-in
     missed weights (1 - p_D(m_i)) w_i.
 
-    ``w_cond`` (m, ...) and ``pd_at_means`` (n, ...) may carry trailing
-    candidate axes, each with a T of its own; the result is (n, ...).
+    ``w_cond`` (m, k) and ``pd_at_means`` (n, k) carry a trailing center
+    axis, each center with a T of its own; the result is (n, k).
     """
     mass = float(weights.sum())
     t_mass = mass - w_cond.sum(axis=0)
@@ -363,9 +346,7 @@ def _missed_weights(weights, w_cond, pd_at_means):
             "detection profile exceeds 1"
         )
     t_mass = np.maximum(t_mass, 0.0)
-    w_mu = np.maximum(1.0 - pd_at_means, 0.0) * weights.reshape(
-        (-1,) + (1,) * (pd_at_means.ndim - 1)
-    )
+    w_mu = np.maximum(1.0 - pd_at_means, 0.0) * weights[:, None]
     sum_mu = w_mu.sum(axis=0)
     spread = (t_mass > _EPS_MASS) & (sum_mu > _EPS_MASS)
     w_missed = np.where(spread, w_mu * (t_mass / np.where(spread, sum_mu, 1.0)), 0.0)
@@ -380,14 +361,73 @@ def _missed_weights(weights, w_cond, pd_at_means):
     return w_missed
 
 
-def _detection_weights(num, clutter):
-    """num / (clutter + num summed over components), 0 where that is 0.
-
-    ``num`` (m, ..., nz) holds w_cond q per component and measurement,
-    ``clutter`` (nz,) the clutter intensity at each measurement.
+@dataclass(frozen=True)
+class CenteredUpdates:
+    """Bayes updates of one predicted intensity against one measurement set
+    for k detection-term centers.  Their posteriors share every covariance:
+    the missed block keeps the predicted ones and each detection block has
+    ``covs`` (n', d, d), the n' conditioned components conditioned on the
+    measurement noise.  Only weights and means move with the center:
+    ``missed`` (k, n), ``detected`` (k, nz, n') and ``means`` (k, nz, n', d),
+    one detection block per measurement.
     """
-    denom = clutter + num.sum(axis=0)
-    return np.where(denom > 0.0, num / np.where(denom > 0.0, denom, 1.0), 0.0)
+
+    predicted: GaussianMixture
+    missed: np.ndarray
+    detected: np.ndarray
+    means: np.ndarray
+    covs: np.ndarray
+
+    def posterior(self, t: int) -> GaussianMixture:
+        """The posterior at center t: the missed block on the predicted
+        components, then the detection blocks in measurement order."""
+        nz, d = self.detected.shape[1], self.predicted.dim
+        return GaussianMixture.trusted(
+            np.concatenate([self.missed[t], self.detected[t].reshape(-1)]),
+            np.concatenate([self.predicted.means, self.means[t].reshape(-1, d)]),
+            np.concatenate([self.predicted.covs, np.tile(self.covs, (nz, 1, 1))]),
+        )
+
+
+def _bayes_update(predicted, measurements, constant, terms, meas, centers=None):
+    """The update for p_D(x) = constant + sum_j w_j N(D_j x; c_j, S_j), each
+    term at its own center (k = 1) or at every row of ``centers`` (k, m).
+
+    Each predicted component is conditioned on each slot of p_D, one block
+    per slot in predicted order: the constant slot (if > 0) passes it with
+    q = 1, and a term gives N(x; m, P) N(D x; c, S) = q N(x; m', P'), the
+    Kalman conditioning on D x = c with noise S.  The missed mass is spread
+    over the predicted components, and each conditioned one is conditioned
+    on every measurement.
+    """
+    w, m, p = predicted.weights, predicted.means, predicted.covs
+    n, d = m.shape
+    if meas.state_dim != d:
+        raise ValueError(f"observation matrix expects state dim {meas.state_dim}, got {d}")
+    if measurements.dim != meas.meas_dim:
+        raise ValueError(f"measurements have dimension {measurements.dim}, model has {meas.meas_dim}")
+    k = 1 if centers is None else len(centers)
+    c = n if constant > 0.0 else 0  # an empty constant slot still concatenates
+    blocks = [
+        (np.broadcast_to(constant * w[:c, None], (c, k)), np.broadcast_to(m[:c, None], (c, k, d)), p[:c])
+    ]
+    pd = np.full((n, k), constant)
+    for term in terms:
+        if term.state_dim != d:
+            raise ValueError(f"detection term expects state dim {term.state_dim}, got {d}")
+        at = term.center[None, :] if centers is None else centers
+        q, m1, p1 = _kalman(m, p, term.projection, term.cov, at)
+        blocks.append((term.weight * w[:, None] * q, m1, p1))
+        pd = pd + term.evaluate(m, at)
+    w_cond, m_cond, p_cond = (np.concatenate(arrays) for arrays in zip(*blocks))
+    missed = _missed_weights(w, w_cond, pd)
+    z = measurements.points
+    qz, m_det, p2 = _kalman(m_cond, p_cond, meas.observation, meas.noise, z)
+    # Each measurement's detection weights: w_cond q / (clutter + their sum), 0 where that is 0.
+    num = w_cond[..., None] * qz
+    denom = clutter_intensity(meas, z) + num.sum(axis=0)
+    w_det = np.where(denom > 0.0, num / np.where(denom > 0.0, denom, 1.0), 0.0)
+    return CenteredUpdates(predicted, missed.T, np.moveaxis(w_det, 0, -1), np.moveaxis(m_det, 0, 2), p2)
 
 
 def phd_update(
@@ -399,42 +439,13 @@ def phd_update(
     """Bayes update of the predicted intensity against one measurement set.
 
     Posterior = missed-detection intensity + one detection intensity per
-    measurement.  Component order: the missed block (predicted order), then
-    per measurement (input order) the conditioned blocks from
-    _condition_on_terms.  Posterior mass equals T + sum of per-measurement
+    measurement, laid out by CenteredUpdates.posterior; each detection block
+    holds the constant slot (if w0 > 0) and then one block per term, each in
+    predicted order.  Posterior mass equals T + sum of per-measurement
     detection masses, each of the latter in [0, 1].
     """
-    _check_update(predicted, measurements, meas)
-    w_cond, m_cond, p_cond = _condition_on_terms(predicted, detection)
-    w_missed = _missed_weights(predicted.weights, w_cond, detection.evaluate(predicted.means))
-    z = measurements.points
-    qz, m_det, p2 = _kalman(m_cond, p_cond, meas.observation, meas.noise, z)
-    w_det = _detection_weights(w_cond[:, None] * qz, clutter_intensity(meas, z))
-    return GaussianMixture.trusted(
-        np.concatenate([w_missed, w_det.T.reshape(-1)]),
-        np.concatenate([predicted.means, np.swapaxes(m_det, 0, 1).reshape(-1, predicted.dim)]),
-        np.concatenate([predicted.covs, np.tile(p2, (len(z), 1, 1))]),
-    )
-
-
-@dataclass(frozen=True)
-class CenteredUpdates:
-    """phd_update of one predicted intensity against one measurement set, for
-    the one-term detection profile w N(D x; c, S) moved to each of k centers c.
-
-    Every one of these posteriors has the same covariances: the missed block
-    keeps the predicted ones, and every detection block has ``covs``, the
-    predicted ones conditioned on the detection term and then on the
-    measurement noise, none of which depends on c.  Only weights and means
-    move with the center: ``missed`` (k, n) holds the missed-block weights,
-    ``detected`` (k, nz, n) and ``means`` (k, nz, n, d) the detection blocks',
-    one block per measurement; only phd_update lays out a posterior.
-    """
-
-    missed: np.ndarray
-    detected: np.ndarray
-    means: np.ndarray
-    covs: np.ndarray
+    update = _bayes_update(predicted, measurements, detection.constant, detection.terms, meas)
+    return update.posterior(0)
 
 
 def phd_update_at_centers(
@@ -446,30 +457,13 @@ def phd_update_at_centers(
 ) -> CenteredUpdates:
     """phd_update for p_D(x) = w N(D x; c, S) at each row c of ``centers``.
 
-    One batched pass: the gains and conditioned covariances are computed once
-    for every center, and the same checks as phd_update's guard each
-    posterior.  ``term`` should come from a DetectionProfile, whose
-    construction checks that p_D stays <= 1; moving the center keeps that.
+    One batched pass through the same update as phd_update's: the gains and
+    conditioned covariances are computed once for every center.  ``term``
+    should come from a DetectionProfile, whose construction checks that p_D
+    stays <= 1; moving the center keeps that.
     """
-    _check_update(predicted, measurements, meas)
-    if term.state_dim != predicted.dim:
-        raise ValueError(
-            f"detection term expects state dim {term.state_dim}, got {predicted.dim}"
-        )
     centers = np.asarray(centers, dtype=float).reshape(-1, term.center.size)
-    w, m, p = predicted.weights, predicted.means, predicted.covs
-    q, m_cond, p_cond = _kalman(m, p, term.projection, term.cov, centers)
-    w_cond = term.weight * w[:, None] * q
-    w_missed = _missed_weights(w, w_cond, term.evaluate(m, centers))
-    z = measurements.points
-    qz, m_det, p2 = _kalman(m_cond, p_cond, meas.observation, meas.noise, z)
-    w_det = _detection_weights(w_cond[..., None] * qz, clutter_intensity(meas, z))
-    return CenteredUpdates(
-        w_missed.T,
-        np.transpose(w_det, (1, 2, 0)),
-        np.transpose(m_det, (1, 2, 0, 3)),
-        p2,
-    )
+    return _bayes_update(predicted, measurements, 0.0, (term,), meas, centers)
 
 
 def extract_states(intensity: GaussianMixture, threshold: float = 0.5) -> PointPattern:

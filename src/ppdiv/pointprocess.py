@@ -238,7 +238,7 @@ def mc_inner_product(rng: RngStream, a, b, n: int) -> tuple[float, float]:
     ``a`` process.
     """
     n = checked_number(n, "n", int, lambda v: v >= 2, ">= 2 for a standard error")
-    check_pair(a, b)
+    check_pair(a, b, (PoissonModel, MixturePoissonModel))
     counts, points, owner = _sample_pattern_batch(rng, a, n)
     vals = np.exp(_log_density_batch(b, counts, points, owner))
     est = float(vals.mean())

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
-from .gaussmix import GaussianMixture, checked_array, gauss_factor, log_gauss
+from .gaussmix import GaussianMixture, checked_array, log_gauss_factored
 from .gaussmix import mixture_from_dict, mixture_to_dict
 from .gaussmix import AT_LEAST_0, AT_LEAST_1, NONNEGATIVE, POSITIVE, PROBABILITY, checked_number
 from .gmphd import (
@@ -208,7 +208,7 @@ def _detection_term(shape: np.ndarray, observation: np.ndarray) -> DetectionTerm
     centred at the origin; detection_profile moves it to the sensor.  The
     term judges ``shape`` before the peak weight is computed from it."""
     term = DetectionTerm(1.0, np.zeros(2), shape, observation)
-    return replace(term, weight=float(np.exp(-log_gauss(np.zeros(2), term.cov))))
+    return replace(term, weight=float(np.exp(-log_gauss_factored(np.zeros(2), term.factor))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -422,9 +422,7 @@ def generate_measurements(
         hits = coins < pd
         n_hit = int(hits.sum())
         noise = gen.standard_normal((n_hit, cfg.meas_dim))
-        chol = np.zeros((cfg.meas_dim, cfg.meas_dim))
-        chol[np.tril_indices(cfg.meas_dim)] = gauss_factor(cfg.meas_noise)[0]
-        detected = truth.states[hits] @ h.T + noise @ chol.T
+        detected = truth.states[hits] @ h.T + noise @ cfg.sensor_model.noise_factor.T
     crng = clutter_rng if clutter_rng is not None else rng
     count = int(sample_poisson_counts(crng, cfg.clutter_mass, 1)[0])
     lo, hi = cfg.area[:, 0], cfg.area[:, 1]

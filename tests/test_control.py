@@ -145,6 +145,21 @@ def test_select_action_shape_and_consistency():
     assert [e.reward for e in evals] == [e.reward for e in evals2]
 
 
+def test_select_action_runs_no_second_update(monkeypatch):
+    # The preview is laid out from the scorer's batched update: a step runs
+    # the look-ahead update once, and phd_update not at all.
+    def second_update(*args):
+        raise AssertionError("select_action ran phd_update")
+
+    monkeypatch.setattr("ppdiv.control.phd_update", second_update)
+    u = mixture(
+        track([300.0, 300.0, 1.0, 0.0]),
+        track([700.0, 600.0, 0.0, 1.0], weight=0.7),
+    )
+    _, evals = select_action(u, np.array([250.0, 250.0]), ScenarioConfig())
+    assert sum(e.posterior_preview is not None for e in evals) == 1
+
+
 def test_select_action_moves_toward_lone_track():
     cfg = ScenarioConfig()
     u = mixture(track([600.0, 600.0, 0.0, 0.0]))

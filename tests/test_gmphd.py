@@ -298,6 +298,14 @@ def test_update_rejects_invalid_inputs():
         )
 
 
+def test_update_names_a_detection_term_of_another_state_dimension():
+    predicted = random_mixture(RngStream(41), 4, 2, 1.0)
+    term = DetectionTerm(1.0, np.zeros(2), np.eye(2), np.eye(2))
+    meas = MeasModel(np.eye(2, 4), np.eye(2))
+    with pytest.raises(ValueError, match="^detection term expects state dim 2, got 4$"):
+        phd_update(predicted, PointPattern.empty(2), DetectionProfile(0.1, (term,)), meas)
+
+
 def test_extract_states_threshold():
     u = GaussianMixture(
         [0.9, 0.3, 0.5],

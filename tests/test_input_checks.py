@@ -27,7 +27,10 @@ from ppdiv import (
     ScenarioConfig,
     SpawnTerm,
     TruthTarget,
+    bhatt_poisson_gaussian,
     config_from_dict,
+    csd_poisson_gm,
+    csd_poisson_mixture,
     csd_poisson_quadrature,
     extract_states,
     hellinger_sq_quadrature,
@@ -289,3 +292,31 @@ def test_bad_scalar_is_rejected_by_argument_name(name, build, bad):
     # count or seed is not truncated.  ConfigError is a ValueError.
     with pytest.raises(ValueError, match=rf"(^|\W){re.escape(name)}\W"):
         build(bad)
+
+
+_MIXTURE_MODEL = MixturePoissonModel(((1.0, _MODEL),))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: csd_poisson_gm(_MIX, _MODEL), "expected PoissonModel, got GaussianMixture"),
+        (lambda: csd_poisson_gm(_MODEL, None), "expected PoissonModel, got NoneType"),
+        (lambda: bhatt_poisson_gaussian(_MIX, _MODEL), "expected PoissonModel, got GaussianMixture"),
+        (
+            lambda: csd_poisson_mixture(_MODEL, _MIXTURE_MODEL),
+            "expected MixturePoissonModel, got PoissonModel",
+        ),
+        (
+            lambda: mc_inner_product(RngStream(0), _MIX, _MODEL, 2),
+            "expected PoissonModel or MixturePoissonModel, got GaussianMixture",
+        ),
+    ],
+    ids=["csd_poisson_gm", "csd_poisson_gm-None", "bhatt_poisson_gaussian", "csd_poisson_mixture", "mc_inner_product"],
+)
+def test_divergence_names_a_process_of_the_wrong_type(build, message):
+    # Each route takes its own kind of process; another kind, or None, in
+    # its place fails by name, not by a missing attribute.
+    with pytest.raises(ValueError) as error:
+        build()
+    assert str(error.value) == message
