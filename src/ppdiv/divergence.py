@@ -282,9 +282,6 @@ def intensity_grid(
         h = (hi[a] - lo[a]) / cells_per_axis
         axes.append(lo[a] + h * (np.arange(cells_per_axis) + 0.5))
         widths.append(h)
-    if dim == 1:
-        points = axes[0][:, None]
-    else:
-        grids = np.meshgrid(*axes, indexing="ij")
-        points = np.stack([g.reshape(-1) for g in grids], axis=1)
+    grids = np.meshgrid(*axes, indexing="ij")
+    points = np.stack([g.reshape(-1) for g in grids], axis=1)
     return points, float(np.prod(widths))

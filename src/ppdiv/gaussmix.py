@@ -415,13 +415,9 @@ def bhatt_coeff(diff: np.ndarray, cov0: np.ndarray, cov1: np.ndarray) -> float:
     """gauss_bhatt_coeff from the mean difference m0 - m1 (d,) and the
     covariances P0, P1 (d, d), arrays already known to be finite, symmetric
     and positive definite (such as one mixture component's)."""
-    chol, logdet_half = gauss_factor(0.5 * (cov0 + cov1))
-    maha = float(_maha(chol, diff))
-    logdet_bar = 2.0 * float(logdet_half)
-    _, logdet0 = np.linalg.slogdet(cov0)
-    _, logdet1 = np.linalg.slogdet(cov1)
-    log_cb = -0.125 * maha - 0.5 * (logdet_bar - 0.5 * (logdet0 + logdet1))
-    return float(np.exp(log_cb))
+    chol, half = gauss_factor(np.stack([0.5 * (cov0 + cov1), cov0, cov1]))
+    maha = float(_maha(chol[:, 0], diff))
+    return float(np.exp(-0.125 * maha - (half[0] - 0.5 * (half[1] + half[2]))))
 
 
 # ---------------------------------------------------------------------------

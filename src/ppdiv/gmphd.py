@@ -336,10 +336,13 @@ def _missed_weights(weights, w_cond, pd_at_means):
     missed weights (1 - p_D(m_i)) w_i.
 
     ``w_cond`` (m, k) and ``pd_at_means`` (n, k) carry a trailing center
-    axis, each center with a T of its own; the result is (n, k).
+    axis, each center with a T of its own; the result is (n, k), bitwise the
+    same at a center whatever k is.
     """
     mass = float(weights.sum())
-    t_mass = mass - w_cond.sum(axis=0)
+    # Each center's sums run along a contiguous row, which numpy adds pairwise
+    # at any k; an axis-0 sum would be pairwise at k = 1 and in order beyond.
+    t_mass = mass - np.ascontiguousarray(w_cond.T).sum(axis=1)
     if np.any(t_mass < -1e-9):
         raise ValueError(
             f"negative missed-detection mass {float(np.min(t_mass)):.3g}: "
@@ -347,7 +350,7 @@ def _missed_weights(weights, w_cond, pd_at_means):
         )
     t_mass = np.maximum(t_mass, 0.0)
     w_mu = np.maximum(1.0 - pd_at_means, 0.0) * weights[:, None]
-    sum_mu = w_mu.sum(axis=0)
+    sum_mu = np.ascontiguousarray(w_mu.T).sum(axis=1)
     spread = (t_mass > _EPS_MASS) & (sum_mu > _EPS_MASS)
     w_missed = np.where(spread, w_mu * (t_mass / np.where(spread, sum_mu, 1.0)), 0.0)
     total = w_missed.sum(axis=0)
@@ -424,8 +427,9 @@ def _bayes_update(predicted, measurements, constant, terms, meas, centers=None):
     z = measurements.points
     qz, m_det, p2 = _kalman(m_cond, p_cond, meas.observation, meas.noise, z)
     # Each measurement's detection weights: w_cond q / (clutter + their sum), 0 where that is 0.
+    # The sum runs in order at any k; an axis-0 sum would add pairwise when k = |z| = 1.
     num = w_cond[..., None] * qz
-    denom = clutter_intensity(meas, z) + num.sum(axis=0)
+    denom = clutter_intensity(meas, z) + (np.cumsum(num, axis=0)[-1] if len(num) else 0.0)
     w_det = np.where(denom > 0.0, num / np.where(denom > 0.0, denom, 1.0), 0.0)
     return CenteredUpdates(predicted, missed.T, np.moveaxis(w_det, 0, -1), np.moveaxis(m_det, 0, 2), p2)
 

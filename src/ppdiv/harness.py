@@ -82,6 +82,7 @@ class McSummary:
     steps: np.ndarray
     ospa_mean: np.ndarray
     ospa_std: np.ndarray
+    final_sensors: np.ndarray
     elapsed_seconds: float
 
 
@@ -169,10 +170,11 @@ def run_simulation(
     )
 
 
-def _mc_worker(args) -> list[float]:
+def _mc_worker(args) -> tuple[list[float], np.ndarray]:
+    """One run's OSPA row and the position its sensor ended at."""
     cfg_doc, seed, policy, index = args
     record = run_simulation(config_from_dict(cfg_doc), seed, policy, index)
-    return [s.ospa for s in record.steps]
+    return [s.ospa for s in record.steps], record.steps[-1].sensor
 
 
 def _worker_count(parallelism: int, n_runs: int, cpus: int | None) -> int:
@@ -187,7 +189,8 @@ def run_montecarlo(
     parallelism: int = 1,
     policy: str = "cs",
 ) -> McSummary:
-    """n_runs independent runs (run_index 0..n-1) and per-step OSPA stats.
+    """n_runs independent runs (run_index 0..n-1): per-step OSPA stats and
+    each run's final sensor position, (n_runs, 2) in run order.
 
     The result depends only on (cfg, master_seed, policy, n_runs); the
     parallelism level changes wall-clock time, never values.  At most
@@ -202,10 +205,11 @@ def run_montecarlo(
     jobs = [(config_to_dict(cfg), seed, policy, i) for i in range(n_runs)]
     workers = _worker_count(parallelism, n_runs, os.cpu_count())
     if workers == 1:
-        rows = [_mc_worker(job) for job in jobs]
+        results = [_mc_worker(job) for job in jobs]
     else:
         with get_context("spawn").Pool(workers) as pool:
-            rows = pool.map(_mc_worker, jobs)
+            results = pool.map(_mc_worker, jobs)
+    rows, sensors = zip(*results)
     matrix = np.array(rows)
     mean = matrix.mean(axis=0)
     std = matrix.std(axis=0, ddof=1) if n_runs > 1 else np.zeros(matrix.shape[1])
@@ -217,6 +221,7 @@ def run_montecarlo(
         steps=np.arange(1, cfg.horizon + 1),
         ospa_mean=mean,
         ospa_std=std,
+        final_sensors=np.array(sensors),
         elapsed_seconds=time.monotonic() - started,
     )
 

@@ -12,7 +12,8 @@ nonzero exit code.
 This module is the only implementation of the oracles behind acceptance
 criteria 1-7, 9 and 10: those checks run on the criterion's own seeds and
 inputs, and the criterion tests assert on their entries.  ``policy_comparison``
-is criterion 10's policy batch, shared by the tests and the full level.
+is criterion 10's policy batch, shared by the tests and the full level; its
+``cs`` runs' final sensor positions also answer ``sensor_moves_toward_targets``.
 
 The fast level finishes in seconds; the full level adds the behavioral
 checks (policy comparison, determinism, goodness of fit), which run whole
@@ -579,41 +580,20 @@ def _check_reward_orientation(report: _Report):
     )
 
 
-def _final_truth_positions(cfg: ScenarioConfig, seed: int) -> np.ndarray:
-    # replays the harness truth stream: base (seed, run 0), purpose child 0
-    rng = RngStream(seed, stream_id=0).child(0)
+def _final_truth_positions(cfg: ScenarioConfig, seed: int, run_index: int) -> np.ndarray:
+    # replays the harness truth stream: base (seed, run_index), purpose child 0
+    rng = RngStream(seed, stream_id=run_index).child(0)
     truth = TruthState.empty(cfg.state_dim)
     for k in range(1, cfg.horizon + 1):
         truth = step_truth(truth, cfg, rng, k)
     return truth.states @ cfg.observation.T
 
 
-def _check_behavior(report: _Report):
-    cfg = ScenarioConfig()
-    closer = 0
-    n_seeds = 20
-    for i in range(n_seeds):
-        seed = _SEED + 17 * i
-        record = run_simulation(cfg, seed, policy="cs")
-        centroid = _final_truth_positions(cfg, seed).mean(axis=0)
-        before = float(np.linalg.norm(cfg.sensor_start - centroid))
-        after = float(np.linalg.norm(record.steps[-1].sensor - centroid))
-        closer += after < before
-    report.add(
-        "sensor_moves_toward_targets",
-        1.0 - closer / n_seeds,
-        0.2 + 1e-12,
-        f"{closer}/{n_seeds} seeds end closer to the final truth centroid",
-    )
-
-
 def _check_policies(report: _Report):
-    """Criterion 10."""
+    """Criterion 10, and where the divergence policy's sensor ends."""
     cfg = ScenarioConfig()
-    steady = {}
-    for policy in ("cs", "random", "stay"):
-        summary = run_montecarlo(cfg, 20, master_seed=cfg.seed, policy=policy)
-        steady[policy] = float(summary.ospa_mean[summary.steps >= 10].mean())
+    runs = {p: run_montecarlo(cfg, 20, master_seed=cfg.seed, policy=p) for p in ("cs", "random", "stay")}
+    steady = {p: float(s.ospa_mean[s.steps >= 10].mean()) for p, s in runs.items()}
     report.add(
         "policy_cs_beats_random",
         steady["cs"] - steady["random"],
@@ -632,13 +612,27 @@ def _check_policies(report: _Report):
         60.0,
         "steady-state mean OSPA of the divergence policy, meters",
     )
+    finals = runs["cs"].final_sensors
+    closer = 0
+    for i, final in enumerate(finals):
+        centroid = _final_truth_positions(cfg, cfg.seed, i).mean(axis=0)
+        before = float(np.linalg.norm(cfg.sensor_start - centroid))
+        closer += float(np.linalg.norm(final - centroid)) < before
+    report.add(
+        "sensor_moves_toward_targets",
+        1.0 - closer / len(finals),
+        0.2 + 1e-12,
+        f"{closer}/{len(finals)} seeds end closer to the final truth centroid",
+    )
 
 
 def policy_comparison() -> list[dict]:
     """The policy batch as report entries: 20 seeded runs of the default
     scenario per policy; the divergence policy's steady-state mean OSPA
-    (steps >= 10) must beat random and stay-put and stay below 60 m.  The
-    three entries share the batch's wall time in ``elapsed_seconds``."""
+    (steps >= 10) must beat random and stay-put and stay below 60 m, and at
+    least 80% of its runs must end with the sensor closer to the final truth
+    centroid than where it started.  The four entries share the batch's wall
+    time in ``elapsed_seconds``."""
     report = _Report("full")
     report.run(_check_policies)
     return report.entries
@@ -705,6 +699,5 @@ def validate_oracles(level: str = "fast") -> dict:
     if level == "full":
         report.run(_check_count_gof, rng.child(9))
         report.run(_check_determinism)
-        report.run(_check_behavior)
         report.entries += policy_comparison()
     return report.finish(time.monotonic() - started)

@@ -223,7 +223,10 @@ def test_criterion_09_ospa_axioms_and_assignment(oracles):
 def test_criterion_10_divergence_policy_beats_baselines():
     """Over 20 seeded runs of the default scenario, the divergence policy's
     steady-state mean OSPA (steps >= 10) beats the random and stay-put
-    baselines and stays below 60 m, within a 5 minute batch budget."""
+    baselines and stays below 60 m, within a 5 minute batch budget.  The same
+    batch answers sensor_moves_toward_targets: at least 16 of its 20
+    divergence-policy runs end with the sensor nearer the final truth
+    centroid than it started."""
     _assert_entries(10, policy_comparison(), time_gate=300.0)
 
 

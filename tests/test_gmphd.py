@@ -14,12 +14,15 @@ from ppdiv import (
     MeasModel,
     MotionModel,
     PointPattern,
+    ScenarioConfig,
     SpawnTerm,
+    detection_profile,
     extract_states,
     mixture_mass,
     phd_predict,
     phd_update,
 )
+from ppdiv.gmphd import phd_update_at_centers
 from ppdiv.pointprocess import RngStream
 from ppdiv.validate import kalman_filter_sequence, random_mixture
 
@@ -304,6 +307,29 @@ def test_update_names_a_detection_term_of_another_state_dimension():
     meas = MeasModel(np.eye(2, 4), np.eye(2))
     with pytest.raises(ValueError, match="^detection term expects state dim 2, got 4$"):
         phd_update(predicted, PointPattern.empty(2), DetectionProfile(0.1, (term,)), meas)
+
+
+@pytest.mark.parametrize("clutter_rate", [0.0, 20.0])
+@pytest.mark.parametrize("n_meas", [1, 3])
+def test_update_at_centers_is_phd_update_at_each_center_bit_for_bit(n_meas, clutter_rate):
+    # 12 predicted components: past 8 terms numpy adds an axis-0 sum
+    # pairwise in one column and in order across several, so the missed
+    # mass and a lone measurement's detection sum must not depend on how
+    # many centers share the update.
+    cfg = ScenarioConfig()
+    gen = np.random.default_rng(12)
+    n = 12
+    means = np.concatenate([gen.uniform(480.0, 520.0, (n, 2)), gen.uniform(-1.0, 1.0, (n, 2))], axis=1)
+    predicted = GaussianMixture(gen.uniform(0.05, 1.5, n), means, [random_spd(gen, 4, 25.0) for _ in range(n)])
+    z = PointPattern(means[:n_meas, :2] + 1.0, dim=2)
+    meas = MeasModel(cfg.observation, cfg.meas_noise, clutter_rate)
+    centers = gen.uniform(0.0, 1000.0, (17, 2))
+    update = phd_update_at_centers(predicted, z, cfg.detection_term, centers, meas)
+    for t, center in enumerate(centers):
+        want = phd_update(predicted, z, detection_profile(cfg, center), meas)
+        got = update.posterior(t)
+        for a, b in ((got.weights, want.weights), (got.means, want.means), (got.covs, want.covs)):
+            assert a.tobytes() == b.tobytes()
 
 
 def test_extract_states_threshold():

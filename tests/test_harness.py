@@ -131,11 +131,24 @@ def test_montecarlo_statistics_match_individual_runs():
     assert np.array_equal(summary.ospa_std, matrix.std(axis=0, ddof=1))
 
 
+def test_montecarlo_reports_each_runs_final_sensor():
+    cfg = short_config(horizon=4)
+    for policy in ("cs", "random"):
+        summary = run_montecarlo(cfg, n_runs=3, master_seed=8, policy=policy)
+        assert summary.final_sensors.shape == (3, 2)
+        for i, final in enumerate(summary.final_sensors):
+            sensor = run_simulation(cfg, 8, policy, i).steps[-1].sensor
+            assert final.tobytes() == sensor.tobytes()
+
+
 def test_montecarlo_parallelism_does_not_change_bytes():
     cfg = short_config(horizon=4)
-    serial = run_montecarlo(cfg, n_runs=3, master_seed=17, policy="stay", parallelism=1)
-    pooled = run_montecarlo(cfg, n_runs=3, master_seed=17, policy="stay", parallelism=2)
-    assert mc_csv_text(serial) == mc_csv_text(pooled)
+    # stay keeps every sensor at its start; random moves them.
+    for policy in ("stay", "random"):
+        serial = run_montecarlo(cfg, n_runs=3, master_seed=17, policy=policy, parallelism=1)
+        pooled = run_montecarlo(cfg, n_runs=3, master_seed=17, policy=policy, parallelism=2)
+        assert mc_csv_text(serial) == mc_csv_text(pooled)
+        assert serial.final_sensors.tobytes() == pooled.final_sensors.tobytes()
 
 
 def test_worker_count_is_clamped_to_runs_and_cpus():

@@ -1,6 +1,6 @@
 """No module of the package imports a sibling's private name, only
-gaussmix judges what counts as a number, only gaussmix factors a covariance
-for evaluation, and ``import ppdiv`` leaves the oracle battery unloaded."""
+gaussmix judges what counts as a number, LAPACK is called only at the
+pinned sites, and ``import ppdiv`` leaves the oracle battery unloaded."""
 
 import ast
 import subprocess
@@ -52,29 +52,56 @@ def test_only_gaussmix_imports_numbers():
     assert found == {"gaussmix"}
 
 
-def _cholesky_calls(path: Path):
-    # (module, enclosing function) of every reference to a name "cholesky".
+# numpy.linalg's factor, solve and eigen routines, all of them LAPACK calls.
+LAPACK = {"cholesky", "slogdet", "det", "solve", "inv", "pinv", "eigh", "eigvalsh", "svd", "lstsq"}
+
+# (module, enclosing function, routine) of every LAPACK call in the package,
+# each with its reason: the outputs depend on the host's LAPACK only here.
+LAPACK_SITES = {
+    # The constructors' yes/no checks of a covariance (definite, semidefinite).
+    ("gaussmix", "_spd", "cholesky"),
+    ("gaussmix", "_spd", "eigvalsh"),
+    # The sampler's factor fixes its random draws.
+    ("pointprocess", "_sample_points", "cholesky"),
+    # The truth noise factor fixes the truth draws.
+    ("scenario", "_psd_factor", "eigh"),
+    # A load-time bound on the step period.
+    ("scenario", "_conditionable", "eigvalsh"),
+    # Where each detection term peaks, probed once per profile.
+    ("gmphd", "__post_init__", "pinv"),
+    # The Kalman gain of every filter and look-ahead update.
+    ("gmphd", "_kalman", "solve"),
+    # The battery's textbook Kalman filter and its direct p_D.
+    ("validate", "kalman_filter_sequence", "inv"),
+    ("validate", "_check_scenario_statistics", "inv"),
+}
+
+
+def _lapack_calls(path: Path):
+    # (module, enclosing function, routine) of every reference to a LAPACK
+    # routine as an attribute (np.linalg.solve) or an imported name; a call
+    # through a name imported from linalg shows as its import.
     def walk(node, where):
         for child in ast.iter_child_nodes(node):
             inner = child.name if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else where
-            if (
-                isinstance(child, ast.Attribute) and child.attr == "cholesky"
-                or isinstance(child, ast.Name) and child.id == "cholesky"
-                or isinstance(child, ast.alias) and child.name.endswith("cholesky")
-            ):
-                yield path.stem, where
+            name = (
+                child.attr if isinstance(child, ast.Attribute)
+                else child.name if isinstance(child, ast.alias)
+                else None
+            )
+            if name in LAPACK:
+                yield path.stem, where, name
             yield from walk(child, inner)
 
     yield from walk(ast.parse(path.read_text(encoding="utf-8")), None)
 
 
-def test_only_the_constructor_check_and_the_sampler_call_lapacks_cholesky():
+def test_lapack_is_called_only_at_the_pinned_sites():
     # Every evaluation factors through gaussmix.gauss_factor's elementwise
-    # kernel.  LAPACK's factor stays in the positive-definite check of
-    # constructed covariances and in the sampler, whose factor fixes the
-    # random draws.
-    found = {call for path in SOURCES for call in _cholesky_calls(path)}
-    assert found == {("gaussmix", "_spd"), ("pointprocess", "_sample_points")}
+    # kernel; a new LAPACK call anywhere else must be added here with its
+    # reason, and a site that is gone must be dropped.
+    found = {call for path in SOURCES for call in _lapack_calls(path)}
+    assert found == LAPACK_SITES
 
 
 def test_import_leaves_the_oracle_battery_unloaded():

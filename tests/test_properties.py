@@ -263,11 +263,20 @@ def predicted_intensities(draw):
     return GaussianMixture(weights, means, sigmas[:, None, None] ** 2 * shapes)
 
 
+def desk_tracks(n, seed):
+    """n tracks as predicted_intensities draws them, for sizes past its 4."""
+    gen = np.random.default_rng(seed)
+    factors = gen.uniform(-1.0, 1.0, (n, 4, 4))
+    shapes = factors @ np.swapaxes(factors, -1, -2) + 0.2 * np.eye(4)
+    means = np.concatenate([gen.uniform(0.0, 1000.0, (n, 2)), gen.uniform(-10.0, 10.0, (n, 2))], axis=1)
+    return GaussianMixture(gen.uniform(0.05, 1.5, n), means, gen.uniform(1.0, 300.0, n)[:, None, None] ** 2 * shapes)
+
+
 def assert_same_blocks(update, t, posterior, predicted):
     """phd_update_at_centers' arrays at centre t against phd_update's
     posterior there, cut into its missed block (on the predicted means and
     covariances) and one detection block per measurement, bit for bit: both
-    run one update, and numpy adds a sum over up to 8 components in one
+    run one update, which adds each of its sums over the components in one
     order whatever the number of centres."""
     n, nz, d = len(predicted), update.detected.shape[1], predicted.dim
     assert len(posterior) == n * (1 + nz)
@@ -282,6 +291,7 @@ def assert_same_blocks(update, t, posterior, predicted):
 
 @properties
 @given(predicted_intensities(), arrays(float, 2, elements=st.floats(0.0, 1000.0)))
+@example(desk_tracks(12, seed=9), np.array([500.0, 500.0]))
 def test_factored_reward_matches_direct_update(predicted, sensor):
     # The action grid around the sensor, plus one candidate surely outside.
     positions = np.concatenate([action_positions(sensor, DESK), [[-1.0, 500.0]]])
