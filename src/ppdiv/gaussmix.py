@@ -12,10 +12,10 @@ numpy; the simulation loop evaluates pairwise Gaussian tables with tens of
 thousands of entries per step and a component loop would dominate the
 runtime.
 
-Every evaluation goes through one coordinate-major kernel: ``gauss_factor``
-takes the Cholesky factor with elementwise operations over the whole batch
-and stores it as packed rows (row i(i+1)/2 + j is L_ij for every matrix),
-and ``_maha`` solves against those rows one coordinate row at a time.
+Every evaluation goes through one coordinate-major kernel: ``gauss_factor``,
+the package's only Cholesky, factors with elementwise operations over the
+whole batch and stores L as packed rows (row i(i+1)/2 + j is L_ij for every
+matrix), and ``_maha`` solves against those rows one coordinate row at a time.
 ``pairwise_log_inner``, the one evaluator of pair tables, broadcasts each
 block's covariance sums and mean differences straight into that layout, in
 row blocks of about 2**16 pairs; a self table takes only the columns from
@@ -158,9 +158,10 @@ def checked_array(value, shape: tuple, what: str, view=None) -> np.ndarray:
 
 def _spd(c: np.ndarray, definite: bool = True) -> np.ndarray:
     """Symmetrized copy of the finite (..., d, d) stack ``c``, or ValueError
-    unless every matrix in it is symmetric and positive definite (by
-    Cholesky) or, if not ``definite``, positive semidefinite (no eigenvalue
-    below -1e-9 max(1, max|C|), max over the whole stack)."""
+    unless d >= 1 and every matrix is symmetric and positive definite (by
+    gauss_factor) or, if not ``definite``, positive semidefinite (no
+    eigenvalue below -1e-9 max(1, max|C|), max over the whole stack)."""
+    checked_number(c.shape[-1], "covariance dimension", int, *AT_LEAST_1)
     ct = np.swapaxes(c, -1, -2)
     if not np.allclose(c, ct, rtol=1e-9, atol=1e-9):
         raise ValueError("covariance is not symmetric")
@@ -170,8 +171,8 @@ def _spd(c: np.ndarray, definite: bool = True) -> np.ndarray:
             raise ValueError("covariance is not positive semidefinite")
         return c
     try:
-        np.linalg.cholesky(c)
-    except np.linalg.LinAlgError:
+        gauss_factor(c)
+    except ValueError:
         raise ValueError("covariance is not positive definite") from None
     return c
 
@@ -356,6 +357,15 @@ def gauss_factor(covs) -> tuple[np.ndarray, np.ndarray]:
     the batch.  Everything ``log_gauss_factored`` needs of C."""
     chol = _packed(np.asarray(covs, dtype=float))
     return chol, _cholesky(chol)
+
+
+def factor_matrices(chol: np.ndarray) -> np.ndarray:
+    """Packed factor rows (p, ...), as gauss_factor returns them, as lower
+    triangular matrices (..., d, d)."""
+    d = math.isqrt(2 * chol.shape[0])
+    out = np.zeros(chol.shape[1:] + (d * d,))
+    out[..., _lower(d)] = np.moveaxis(chol, 0, -1)
+    return out.reshape(chol.shape[1:] + (d, d))
 
 
 def log_gauss_factored(diffs: np.ndarray, factor: tuple[np.ndarray, np.ndarray]) -> np.ndarray:

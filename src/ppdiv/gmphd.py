@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussmix import GaussianMixture, checked_array, gauss_factor, log_gauss, log_gauss_factored
-from .gaussmix import NONNEGATIVE, PROBABILITY, checked_number, validate_cov
+from .gaussmix import NONNEGATIVE, PROBABILITY, checked_number, factor_matrices, validate_cov
 from .pointprocess import PointPattern
 
 _EPS_MASS = 1e-12
@@ -145,9 +145,7 @@ class MeasModel:
     def noise_factor(self) -> np.ndarray:
         """Lower triangular L with L L' = R, gauss_factor's factor of R as a
         matrix, taken once per model; it draws the measurement noise."""
-        chol = np.zeros((self.meas_dim, self.meas_dim))
-        chol[np.tril_indices(self.meas_dim)] = gauss_factor(self.noise)[0]
-        return chol
+        return factor_matrices(gauss_factor(self.noise)[0])
 
 
 def clutter_intensity(meas: MeasModel, zs: np.ndarray) -> np.ndarray:

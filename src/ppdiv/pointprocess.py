@@ -26,7 +26,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .divergence import MixturePoissonModel, PoissonModel, check_pair
-from .gaussmix import BLOCK, GaussianMixture, mixture_log_eval
+from .gaussmix import BLOCK, GaussianMixture, factor_matrices, gauss_factor, mixture_log_eval
 from .gaussmix import AT_LEAST_0, AT_LEAST_1, NONNEGATIVE, checked_array, checked_number
 
 MAX_MC_MASS = 5.0
@@ -65,8 +65,8 @@ class PointPattern:
             dim = checked_number(dim, "dim", int, *AT_LEAST_1, kind_requirement="a whole number")
         pts = np.asarray(points)
         if pts.size == 0:
-            if pts.ndim == 2:
-                dim = pts.shape[1] if dim is None else dim
+            if pts.ndim == 2 and dim is None:
+                dim = checked_number(pts.shape[1], "points dimension", int, *AT_LEAST_1)
             if dim is None:
                 raise ValueError("empty pattern needs an explicit dim")
             points = pts.reshape(0, dim)
@@ -130,7 +130,7 @@ def _sample_points(gen: np.random.Generator, intensity: GaussianMixture, total: 
     if w.size == 0:
         raise ValueError("cannot sample points from a zero-mass intensity")
     means = intensity.means[keep]
-    chols = np.linalg.cholesky(intensity.covs[keep])
+    chols = factor_matrices(gauss_factor(intensity.covs[keep])[0])
     cdf = np.cumsum(w)
     cdf /= cdf[-1]
     comp = np.searchsorted(cdf, gen.random(total), side="right")

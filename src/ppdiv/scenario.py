@@ -227,7 +227,7 @@ class ScenarioConfig:
     ``sensor_model`` (clutter over ``area``), ``clutter_mass`` (expected
     clutter points per scan), the look-ahead's ``planning_model`` (clutter
     rate = ``clutter_mass``), ``detection_term`` (p_D's term, centred at the
-    origin) and ``ospa_params``.
+    origin), ``truth_noise_factor`` (A A' = Q) and ``ospa_params``.
     """
 
     area: np.ndarray = ((0.0, 1000.0), (0.0, 1000.0))
@@ -274,6 +274,7 @@ class ScenarioConfig:
         q = put("process_noise", _matrix, _field("step_period", _cv_process_noise, t), (d, d))
         # The filter model that consumes a matrix judges it.
         keep("motion", _field("process_noise", MotionModel, f, q, self.survival_prob))
+        keep("truth_noise_factor", _psd_factor(q))
         h = put("observation", _matrix, np.eye(2, d), (2, d))
         area = put("area", _area)
         r = put("meas_noise", _matrix, 9.0 * np.eye(2), (2, 2))
@@ -379,12 +380,11 @@ def step_truth(truth: TruthState, cfg: ScenarioConfig, rng: RngStream, k: int) -
     d = cfg.state_dim
     carried = [(i, x) for i, x in zip(truth.ids, truth.states) if script[i].alive_at(k)]
     noise = rng.generator.standard_normal((len(carried), d))
-    factor = _psd_factor(cfg.process_noise)
     ids = []
     states = []
     for (i, x), z in zip(carried, noise):
         ids.append(i)
-        states.append(cfg.transition @ x + factor @ z)
+        states.append(cfg.transition @ x + cfg.truth_noise_factor @ z)
     for i, target in enumerate(script):
         if target.birth_step == k and i not in truth.ids:
             ids.append(i)

@@ -622,7 +622,7 @@ def _check_policies(report: _Report):
         "sensor_moves_toward_targets",
         1.0 - closer / len(finals),
         0.2 + 1e-12,
-        f"{closer}/{len(finals)} seeds end closer to the final truth centroid",
+        f"{closer}/{len(finals)} runs end closer to the final truth centroid",
     )
 
 

@@ -94,6 +94,13 @@ def test_malformed_mixture_dim_exits_two(tmp_path, capsys, dim):
     assert f"dim must be a whole number, got {dim!r}" in capsys.readouterr().err
 
 
+def test_zero_dimensional_mixture_exits_two(tmp_path, capsys):
+    doc = tmp_path / "m.json"
+    doc.write_text(json.dumps({"dim": 0, "components": []}))
+    assert main(["divergence", "--a", str(doc), "--b", str(doc)]) == 2
+    assert "error: dim must be >= 1, got 0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "comp, name",
     [

@@ -21,7 +21,8 @@ from ppdiv import (
     mixture_scale,
     prune_merge,
 )
-from ppdiv.gaussmix import _LOG_2PI, _maha, gauss_factor, log_gauss, log_gauss_factored, pairwise_log_inner
+from ppdiv.gaussmix import _LOG_2PI, _maha, factor_matrices, gauss_factor, log_gauss, log_gauss_factored
+from ppdiv.gaussmix import pairwise_log_inner
 from ppdiv.pointprocess import RngStream, sample_poisson_counts
 from ppdiv.validate import random_mixture
 
@@ -296,9 +297,14 @@ def test_factor_is_lapacks_to_the_bit_up_to_two_dimensions_and_to_rounding_beyon
     covs = np.concatenate([covs, spd_stack(gen, (20_000,), d)])
     chol, logdet_half = gauss_factor(covs)
     assert chol.tobytes() == packed(ordered_factor(covs)).tobytes()
+    # As matrices, zero above the diagonal, for the sampler and the noise draws.
+    matrices = factor_matrices(chol)
+    assert matrices.tobytes() == ordered_factor(covs).tobytes()
+    assert factor_matrices(chol[:, 7]).tobytes() == matrices[7].tobytes()
     lapack = np.linalg.cholesky(covs)
     if d <= 2:
         assert chol.tobytes() == packed(lapack).tobytes()
+        assert matrices.tobytes() == lapack.tobytes()
         want = np.log(np.diagonal(lapack, axis1=-2, axis2=-1)).sum(axis=-1)
         assert logdet_half.tobytes() == want.tobytes()
     else:

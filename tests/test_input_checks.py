@@ -45,6 +45,7 @@ from ppdiv import (
     run_simulation,
     sample_poisson_counts,
 )
+from ppdiv.gaussmix import validate_cov
 
 I2 = np.eye(2)
 
@@ -122,6 +123,47 @@ def test_noise_may_be_singular_only_for_motion_and_spawn():
         ScenarioConfig(detection_shape=[[3e6, 0.0], [0.0, 0.0]])
     # Process noise may be singular in the config too: a noiseless motion.
     assert not ScenarioConfig(process_noise=np.zeros((4, 4))).process_noise.any()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", ["zero", "indefinite", "last pivot zero"])
+def test_covariance_that_is_not_positive_definite_is_rejected_by_one_message(d, kind):
+    # gauss_factor judges definiteness for the constructors too; its own
+    # message is replaced by the constructors' one, and no warning escapes.
+    bad = {
+        "zero": np.zeros((d, d)),
+        "indefinite": np.eye(d) - 2.0 / d,
+        "last pivot zero": np.diag(np.arange(d, 0, -1) - 1.0),
+    }[kind]
+    for build in (
+        lambda: validate_cov(bad),
+        lambda: Gaussian(np.zeros(d), bad),
+        lambda: GaussianMixture([1.0, 1.0], np.zeros((2, d)), [np.eye(d), bad]),
+    ):
+        with pytest.raises(ValueError) as error:
+            build()
+        assert str(error.value) == "covariance is not positive definite"
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: GaussianMixture([1.0], np.zeros((1, 0)), np.zeros((1, 0, 0))), "covariance dimension"),
+        (lambda: GaussianMixture.empty(0), "covariance dimension"),
+        (lambda: Gaussian(np.zeros(0), np.zeros((0, 0))), "covariance dimension"),
+        (lambda: validate_cov(np.zeros((0, 0))), "covariance dimension"),
+        (lambda: validate_cov(np.zeros((0, 0)), definite=False), "covariance dimension"),
+        (lambda: PointPattern(np.zeros((3, 0))), "points dimension"),
+        (lambda: PointPattern(np.zeros((0, 0))), "points dimension"),
+    ],
+    ids=["mixture", "empty-mixture", "Gaussian", "validate_cov", "semidefinite", "PointPattern", "empty-PointPattern"],
+)
+def test_dimension_zero_is_rejected_by_name(build, message):
+    # No Gaussian lives on a point and no 0 x 0 matrix can be factored, so
+    # a dimension of 0 fails at the constructor, not inside an evaluation.
+    with pytest.raises(ValueError) as error:
+        build()
+    assert str(error.value) == f"{message} must be >= 1, got 0"
 
 
 def test_near_symmetric_matrix_is_accepted_and_symmetrized():

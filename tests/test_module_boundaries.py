@@ -58,11 +58,8 @@ LAPACK = {"cholesky", "slogdet", "det", "solve", "inv", "pinv", "eigh", "eigvals
 # (module, enclosing function, routine) of every LAPACK call in the package,
 # each with its reason: the outputs depend on the host's LAPACK only here.
 LAPACK_SITES = {
-    # The constructors' yes/no checks of a covariance (definite, semidefinite).
-    ("gaussmix", "_spd", "cholesky"),
+    # The constructors' yes/no check of a semidefinite covariance.
     ("gaussmix", "_spd", "eigvalsh"),
-    # The sampler's factor fixes its random draws.
-    ("pointprocess", "_sample_points", "cholesky"),
     # The truth noise factor fixes the truth draws.
     ("scenario", "_psd_factor", "eigh"),
     # A load-time bound on the step period.
@@ -77,10 +74,24 @@ LAPACK_SITES = {
 }
 
 
+def _dotted_names(node):
+    # What an import brings in (import a.b, from a import b) or an attribute
+    # spells out (a.b), as dotted names.
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return [f"{node.module}.{alias.name}" for alias in node.names]
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        return [f"{node.value.id}.{node.attr}"]
+    return []
+
+
 def _lapack_calls(path: Path):
     # (module, enclosing function, routine) of every reference to a LAPACK
     # routine as an attribute (np.linalg.solve) or an imported name; a call
-    # through a name imported from linalg shows as its import.
+    # through a name imported from linalg shows as its import.  Every name in
+    # scipy.linalg (cho_factor, lu_factor, ...) wraps LAPACK, so any import
+    # of it or reference to it shows as the routine "scipy.linalg".
     def walk(node, where):
         for child in ast.iter_child_nodes(node):
             inner = child.name if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else where
@@ -91,15 +102,17 @@ def _lapack_calls(path: Path):
             )
             if name in LAPACK:
                 yield path.stem, where, name
+            if any(f"{dotted}.".startswith("scipy.linalg.") for dotted in _dotted_names(child)):
+                yield path.stem, where, "scipy.linalg"
             yield from walk(child, inner)
 
     yield from walk(ast.parse(path.read_text(encoding="utf-8")), None)
 
 
 def test_lapack_is_called_only_at_the_pinned_sites():
-    # Every evaluation factors through gaussmix.gauss_factor's elementwise
-    # kernel; a new LAPACK call anywhere else must be added here with its
-    # reason, and a site that is gone must be dropped.
+    # Every Cholesky factor is gaussmix.gauss_factor's elementwise kernel; a
+    # new LAPACK call anywhere else must be added here with its reason, and a
+    # site that is gone must be dropped.
     found = {call for path in SOURCES for call in _lapack_calls(path)}
     assert found == LAPACK_SITES
 

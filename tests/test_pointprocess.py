@@ -21,6 +21,8 @@ from ppdiv import (
     sample_poisson,
     sample_poisson_counts,
 )
+from ppdiv.gaussmix import factor_matrices, gauss_factor
+from ppdiv.pointprocess import _sample_points
 from ppdiv.validate import random_mixture
 
 
@@ -63,6 +65,26 @@ def test_sampling_determinism_and_empty():
     zero = PoissonModel(GaussianMixture.empty(2))
     for i in range(10):
         assert len(sample_poisson(RngStream(i), zero)) == 0
+
+
+def test_sampler_draws_with_gauss_factors_beyond_two_dimensions():
+    # Each point is its component's mean plus L z, with L gauss_factor's
+    # factor; at d = 4 LAPACK's factor rounds differently, so the draws no
+    # longer depend on the LAPACK build.
+    gen = np.random.default_rng(29)
+    n, d, total = 200, 4, 2000
+    a = gen.standard_normal((n, d, d)) * 10.0 ** gen.uniform(-2, 2, (n, 1, 1))
+    u = GaussianMixture(gen.uniform(0.5, 2.0, n), gen.uniform(-50, 50, (n, d)), a @ np.swapaxes(a, -1, -2))
+    points = _sample_points(np.random.default_rng(5), u, total)
+    replay = np.random.default_rng(5)
+    cdf = np.cumsum(u.weights)
+    comp = np.searchsorted(cdf / cdf[-1], replay.random(total), side="right")
+    z = replay.standard_normal((total, d))
+    want = u.means[comp] + np.einsum("nij,nj->ni", factor_matrices(gauss_factor(u.covs)[0])[comp], z)
+    assert points.tobytes() == want.tobytes()
+    lapack = u.means[comp] + np.einsum("nij,nj->ni", np.linalg.cholesky(u.covs)[comp], z)
+    assert not np.array_equal(points, lapack)
+    np.testing.assert_allclose(points, lapack, rtol=1e-12, atol=1e-10)
 
 
 def test_sampled_cardinality_is_poisson():

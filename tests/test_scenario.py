@@ -26,6 +26,7 @@ from ppdiv import (
 )
 from ppdiv.gaussmix import log_gauss
 from ppdiv.pointprocess import MAX_POISSON_MEAN, RngStream, sample_poisson_counts
+from ppdiv import scenario
 from ppdiv.scenario import in_area
 
 
@@ -155,11 +156,24 @@ def test_config_keeps_its_models_read_only_and_out_of_the_document():
     document = config_to_dict(cfg)
     for name in (
         "motion", "births", "sensor_model", "planning_model", "clutter_mass",
-        "detection_term", "ospa_params",
+        "detection_term", "truth_noise_factor", "ospa_params",
     ):
         assert name not in document
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(cfg, name, None)
+
+
+def test_truth_noise_is_factored_once_per_config(monkeypatch):
+    # The factor is an eigendecomposition (process noise may be singular);
+    # the config takes it once, and no step of a run takes it again.
+    calls = []
+    factor = scenario._psd_factor
+    monkeypatch.setattr(scenario, "_psd_factor", lambda q: calls.append(q) or factor(q))
+    cfg = ScenarioConfig(horizon=5)
+    assert len(calls) == 1 and calls[0] is cfg.process_noise
+    assert cfg.truth_noise_factor.tobytes() == factor(cfg.process_noise).tobytes()
+    run_simulation(cfg, 3, "stay")
+    assert len(calls) == 1
 
 
 def test_measurements_ideal_sensor():
