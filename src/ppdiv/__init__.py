@@ -10,7 +10,6 @@ from .gaussmix import (
     gauss_bhatt_coeff,
     gauss_eval,
     gauss_inner,
-    gauss_log_eval,
     load_mixture,
     mixture_eval,
     mixture_from_dict,

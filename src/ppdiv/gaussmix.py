@@ -15,7 +15,8 @@ runtime.
 Every evaluation goes through one coordinate-major kernel: ``gauss_factor``,
 the package's only Cholesky, factors with elementwise operations over the
 whole batch and stores L as packed rows (row i(i+1)/2 + j is L_ij for every
-matrix), and ``_maha`` solves against those rows one coordinate row at a time.
+matrix), and ``_maha`` and ``solve_factored`` solve against those rows one
+coordinate row at a time.
 ``pairwise_log_inner``, the one evaluator of pair tables, broadcasts each
 block's covariance sums and mean differences straight into that layout, in
 row blocks of about 2**16 pairs; a self table takes only the columns from
@@ -320,20 +321,18 @@ def _cholesky(c: np.ndarray) -> np.ndarray:
     return half
 
 
-def _maha(chol: np.ndarray, diffs) -> np.ndarray:
-    """Squared Mahalanobis norms diff' C^-1 diff, by solving L y = diff, for
-    factors L as gauss_factor packs them (p, ...) and diffs as coordinate
-    rows, d of them, each over the batch.
+def _forward(chol: np.ndarray, rows) -> np.ndarray:
+    """Rows y (d, ...) of L y = b, for factors L as gauss_factor packs them
+    (p, ...) and b as coordinate rows, d of them, each over the batch.
 
     d is small (<= 4 in the tracking scenario), so the solve runs row by row,
-    each step one elementwise operation over the whole batch, on factor rows
-    and on rows y_i, in place.  Every sum (a row's L_ij y_j, and the final
-    sum of the y_i^2) adds its terms left to right, at any d; elementwise
-    products and sums round the same in every batch layout, so each value is
-    a function of its own L and diff alone.
+    each step one elementwise operation over the whole batch, in place.  Each
+    row's sum L_ij y_j adds its terms left to right, at any d; elementwise
+    operations round the same in every batch layout, so each value is a
+    function of its own L and b alone.
     """
-    d = len(diffs)
-    y = np.empty((d,) + np.broadcast(chol[0], diffs[0]).shape)
+    d = len(rows)
+    y = np.empty((d,) + np.broadcast(chol[0], rows[0]).shape)
     term = np.empty(y.shape[1:]) if d >= 3 else None
     for i in range(d):
         ri = i * (i + 1) // 2
@@ -342,13 +341,34 @@ def _maha(chol: np.ndarray, diffs) -> np.ndarray:
             np.multiply(chol[ri], y[0], out=yi)
             for j in range(1, i):
                 yi += np.multiply(chol[ri + j], y[j], out=term)
-            np.subtract(diffs[i], yi, out=yi)
-        np.divide(yi if i else diffs[0], chol[ri + i], out=yi)
+            np.subtract(rows[i], yi, out=yi)
+        np.divide(yi if i else rows[0], chol[ri + i], out=yi)
+    return y
+
+
+def _maha(chol: np.ndarray, diffs) -> np.ndarray:
+    """Squared Mahalanobis norms diff' C^-1 diff, |L^-1 diff|^2 from
+    _forward's rows, their squares added left to right."""
+    y = _forward(chol, diffs)
     # In place: each row is squared after the solve has read it for the last time.
     total = np.square(y[0], out=y[0, ...])
-    for i in range(1, d):
+    for i in range(1, len(y)):
         total += np.square(y[i], out=y[i, ...])
     return total
+
+
+def solve_factored(b: np.ndarray, chol: np.ndarray) -> np.ndarray:
+    """C^-1 b for batched b (..., d), from the packed rows ``chol`` of
+    gauss_factor(C), whose batch broadcasts against b's: _maha's forward
+    solve L y = b, then L' x = y back from x_(d-1), as
+    x_i = (y_i - L_(i+1)i x_(i+1) - ... - L_(d-1)i x_(d-1)) / L_ii."""
+    d = b.shape[-1]
+    x = _forward(chol, [b[..., i] for i in range(d)])
+    for i in reversed(range(d)):
+        for j in range(i + 1, d):
+            x[i] -= chol[j * (j + 1) // 2 + i] * x[j]
+        x[i] /= chol[i * (i + 3) // 2]
+    return np.moveaxis(x, 0, -1)
 
 
 def gauss_factor(covs) -> tuple[np.ndarray, np.ndarray]:
@@ -390,16 +410,12 @@ def log_gauss(diffs: np.ndarray, covs: np.ndarray) -> np.ndarray:
     return log_gauss_factored(diffs, gauss_factor(covs))
 
 
-def gauss_log_eval(x, g: Gaussian) -> float:
+def gauss_eval(x, g: Gaussian) -> float:
+    """Density of ``g`` at point ``x``."""
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.size != g.dim:
         raise ValueError(f"point has dimension {x.size}, Gaussian has {g.dim}")
-    return float(log_gauss(x - g.mean, g.cov))
-
-
-def gauss_eval(x, g: Gaussian) -> float:
-    """Density of ``g`` at point ``x``."""
-    return math.exp(gauss_log_eval(x, g))
+    return math.exp(float(log_gauss(x - g.mean, g.cov)))
 
 
 def gauss_inner(g0: Gaussian, g1: Gaussian) -> float:

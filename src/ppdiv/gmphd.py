@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussmix import GaussianMixture, checked_array, gauss_factor, log_gauss, log_gauss_factored
+from .gaussmix import GaussianMixture, checked_array, gauss_factor, log_gauss_factored, solve_factored
 from .gaussmix import NONNEGATIVE, PROBABILITY, checked_number, factor_matrices, validate_cov
 from .pointprocess import PointPattern
 
@@ -307,24 +307,24 @@ def _kalman(means, covs, projection, noise, targets):
 
     ``means`` is (n, ..., d): the axes after the first are batch axes that
     share component i's covariance, whose gain and conditioned covariance
-    are computed once.  For S_i = D P_i D' + R and K_i = P_i D' S_i^-1,
-    returns (q, m', P') with q[i, ..., t] = N(y_t; D m_i, S_i),
-    m'[i, ..., t] = m_i + K_i (y_t - D m_i) and P'_i = (I - K_i D) P_i,
+    are computed once.  S_i = D P_i D' + R is factored once, for the gain
+    K_i = P_i D' S_i^-1 and the likelihood.  Returns (q, m', P') with
+    q[i, ..., t] = N(y_t; D m_i, S_i), m'[i, ..., t] = m_i + K_i (y_t - D m_i)
+    and P'_i = (I - K_i D) P_i (I - K_i D)' + K_i R K_i' (Joseph form, which
+    stays positive definite where (I - K_i D) P_i cancels to rounding),
     shapes (n, ..., t), (n, ..., t, d) and (n, d, d).
     """
     dm = means @ projection.T
-    dp = np.einsum("ab,ibc->iac", projection, covs)
-    s = np.einsum("iab,cb->iac", dp, projection) + noise
-    try:
-        gain = np.swapaxes(np.linalg.solve(s, dp), -1, -2)
-    except np.linalg.LinAlgError:
-        raise ValueError("singular innovation covariance in the PHD update") from None
+    dp = projection @ covs
+    chol, half = gauss_factor(dp @ projection.T + noise)
+    # Row a of K_i is S_i^-1 (D P_i)[:, a], S_i being symmetric.
+    gain = solve_factored(np.swapaxes(dp, -1, -2), chol[:, :, None])
     innov = targets - dm[..., None, :]
     batch = (slice(None),) + (None,) * (means.ndim - 1)
-    q = np.exp(log_gauss(innov, s[batch]))
+    q = np.exp(log_gauss_factored(innov, (chol[(slice(None),) + batch], half[batch])))
     m1 = means[..., None, :] + np.einsum("iab,i...b->i...a", gain, innov)
-    shrink = np.eye(means.shape[-1]) - np.einsum("iab,bc->iac", gain, projection)
-    p1 = np.einsum("iab,ibc->iac", shrink, covs)
+    shrink = np.eye(means.shape[-1]) - gain @ projection
+    p1 = shrink @ covs @ np.swapaxes(shrink, -1, -2) + gain @ noise @ np.swapaxes(gain, -1, -2)
     return q, m1, 0.5 * (p1 + np.swapaxes(p1, -1, -2))
 
 

@@ -64,9 +64,9 @@ class PointPattern:
         if dim is not None:
             dim = checked_number(dim, "dim", int, *AT_LEAST_1, kind_requirement="a whole number")
         pts = np.asarray(points)
-        if pts.size == 0:
-            if pts.ndim == 2 and dim is None:
-                dim = checked_number(pts.shape[1], "points dimension", int, *AT_LEAST_1)
+        if pts.size == 0 and pts.ndim == 2 and dim is None:
+            dim = checked_number(pts.shape[1], "points dimension", int, *AT_LEAST_1)
+        elif pts.shape == (0,):
             if dim is None:
                 raise ValueError("empty pattern needs an explicit dim")
             points = pts.reshape(0, dim)

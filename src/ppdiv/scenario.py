@@ -142,22 +142,6 @@ def _cv_process_noise(t: float) -> np.ndarray:
     )
 
 
-def _conditionable(t: float, shape: np.ndarray) -> None:
-    """Raise where the filter surely cannot condition one step of the
-    default process noise on the detection term.  Conditioning a position
-    variance of 27 t**3 on p_D's shape S leaves about S, by a cancellation
-    that rounds off eps * 27 t**3 in float64; from S's smallest variance on,
-    that rounding is as large as what is left, and the conditioned
-    covariance is no longer surely positive definite."""
-    least = float(np.linalg.eigvalsh(shape)[0])
-    if np.finfo(float).eps * 27.0 * t**3 >= least:
-        raise ValueError(
-            f"the default process noise, 27 * {t!r}**3, is at least 1/eps times "
-            f"detection_shape's smallest variance {least!r}, too much for the "
-            f"filter to condition on the detection term"
-        )
-
-
 _DETECTION_SHAPE = 1e6 * np.array([[3.0, -2.4], [-2.4, 3.6]])
 
 
@@ -290,7 +274,6 @@ class ScenarioConfig:
         keep("planning_model", _field("clutter_rate", MeasModel, h, r, mass, None))
         s = put("detection_shape", _matrix, _DETECTION_SHAPE, (2, 2))
         keep("detection_term", _field("detection_shape", _detection_term, s, h))
-        _field("step_period", _conditionable, t, s)
         put("sensor_start", _sensor_start, self)
 
         if not isinstance(self.birth, GaussianMixture) or self.birth.dim != d:

@@ -173,10 +173,8 @@ def test_bad_covariance_exits_two_naming_the_field(tmp_path, capsys, field, valu
         {"area": [[-1e308, 1e308], [0.0, 1000.0]]},
         # A clutter mass beyond what one Poisson count per scan can draw.
         {"clutter_rate": 5.0, "horizon": 2},
-        # A default process noise, 27 step_period**3, that overflows, and
-        # one too large to condition on the detection term.
+        # A default process noise, 27 step_period**3, that overflows.
         {"step_period": 1e120},
-        {"step_period": 1e30, "horizon": 3},
         # An OSPA charge, cutoff ** order, that overflows or underflows.
         {"ospa_order": 200},
         {"ospa_order": 1100, "ospa_cutoff": 0.5},
@@ -205,7 +203,6 @@ def test_bad_covariance_exits_two_naming_the_field(tmp_path, capsys, field, valu
         "overflowing-width",
         "clutter-mass-beyond-poisson-table",
         "overflowing-process-noise",
-        "unconditionable-process-noise",
         "overflowing-ospa-charge",
         "underflowing-ospa-charge",
         "boolean-integer",
@@ -226,6 +223,18 @@ def test_malformed_field_exits_two_naming_it(tmp_path, capsys, doc):
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
     assert re.match(rf"error: {name}(\[\d+\])?: ", capsys.readouterr().err)
     assert not out.exists()
+
+
+def test_step_period_once_refused_at_load_runs(tmp_path, capsys):
+    # 27 step_period**3 is finite, so the config loads, and the filter
+    # conditions it in Joseph form through the horizon.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"step_period": 1e30, "horizon": 2}))
+    out = tmp_path / "o.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()
+    assert len(rows) == 3 and all("nan" not in row and "inf" not in row for row in rows)
+    capsys.readouterr()
 
 
 def test_rejected_flags_exit_nonzero(tmp_path, capsys):

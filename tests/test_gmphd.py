@@ -22,7 +22,8 @@ from ppdiv import (
     phd_predict,
     phd_update,
 )
-from ppdiv.gmphd import phd_update_at_centers
+from ppdiv.gaussmix import gauss_factor, log_gauss
+from ppdiv.gmphd import _kalman, phd_update_at_centers
 from ppdiv.pointprocess import RngStream
 from ppdiv.validate import kalman_filter_sequence, random_mixture
 
@@ -222,6 +223,48 @@ def test_update_kalman_reduction():
         assert np.allclose(posterior.means[best], mean_ref, atol=1e-9)
         assert np.allclose(posterior.covs[best], cov_ref, atol=1e-9)
         prior = posterior
+
+
+def textbook_kalman(means, covs, h, r, targets):
+    """The Kalman step as a textbook writes it: the gain by np.linalg.solve
+    and the covariance in Joseph form, (q, m', P') in _kalman's shapes."""
+    s = h @ covs @ h.T + r
+    gain = np.swapaxes(np.linalg.solve(s, h @ covs), -1, -2)
+    innov = targets - (means @ h.T)[..., None, :]
+    batch = (slice(None),) + (None,) * (means.ndim - 1)
+    q = np.exp(log_gauss(innov, s[batch]))
+    m1 = means[..., None, :] + (gain[batch] @ innov[..., None])[..., 0]
+    a = np.eye(covs.shape[-1]) - gain @ h
+    return q, m1, a @ covs @ np.swapaxes(a, -1, -2) + gain @ r @ np.swapaxes(gain, -1, -2), gain, innov
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("rows", [1, 2, 3])
+@pytest.mark.parametrize("batch", [(), (3,)], ids=["plain", "batched"])
+def test_kalman_step_matches_a_textbook_filter(d, rows, batch):
+    gen = np.random.default_rng(1000 * d + 10 * rows + len(batch))
+    n, t = 5, 4
+    covs = np.stack([random_spd(gen, d, scale=gen.uniform(0.1, 10.0)) for _ in range(n)])
+    means = gen.normal(scale=5.0, size=(n,) + batch + (d,))
+    h = gen.normal(size=(rows, d))
+    r = random_spd(gen, rows, scale=gen.uniform(0.01, 1.0))
+    targets = gen.normal(scale=5.0, size=(t, rows))
+    q, m1, p1 = _kalman(means, covs, h, r, targets)
+    want_q, want_m, want_p, gain, innov = textbook_kalman(means, covs, h, r, targets)
+    # One factor of S serves the gain and the likelihood, which is the
+    # kernel's to the bit.
+    assert q.tobytes() == want_q.tobytes() and q.shape == (n,) + batch + (t,)
+    # Rounding scaled to the terms: the gain carries cond(S) eps in either
+    # solve, and Joseph form is first-order insensitive to a gain's error.
+    eps = 64 * np.finfo(float).eps
+    cond = np.linalg.cond(h @ covs @ h.T + r)[(slice(None),) + (None,) * (len(batch) + 2)]
+    step = np.abs(gain)[(slice(None),) + (None,) * (len(batch) + 1)] @ np.abs(innov)[..., None]
+    assert np.all(np.abs(m1 - want_m) <= eps * (np.abs(means[..., None, :]) + cond * step[..., 0]))
+    a = np.eye(d) + np.abs(gain) @ np.abs(h)
+    terms = a @ np.abs(covs) @ a.swapaxes(-1, -2) + np.abs(gain) @ np.abs(r) @ np.abs(gain).swapaxes(-1, -2)
+    assert np.all(np.abs(p1 - want_p) <= eps * terms)
+    assert np.array_equal(p1, p1.swapaxes(-1, -2))
+    gauss_factor(p1)
 
 
 def test_update_clutter_dominated_limit():

@@ -226,17 +226,17 @@ def test_write_mc_csv_and_sidecar(tmp_path):
 # last bits under a float-moving scorer change; the actions they choose, the
 # truth, the measurements and the OSPA scores may not.
 PINNED_RUNS = {
-    (0, "cs"): "95051955e11ea9a7aa320289ee92c657706b6b7fef30e11b400d859fed4bc4ec",
-    (0, "random"): "b8eefcf6b8a579cd06d92d54a124200252e73ad0d5640f718f28c5950728c38e",
-    (0, "stay"): "e1277bcad4d38cac229de3e846b70e9ad5e3e5f6152671ae544ab20de9e573e4",
-    (1, "cs"): "83641c150d4d5d60e0bb4df64f341978a7b9b8048a19c4d9c51611b0a44eacff",
-    (1, "random"): "83d199ce21590fff77d1b02a7d74432c051455bb3e9ac0ecb34ac81030b89874",
-    (1, "stay"): "f0ab538d563e015af3be01d4c6b691e15cf1cfeeeda678941a71a529c1f11dbf",
+    (0, "cs"): "73d7753cd626dd2a0299e5929989cdee1381ebc568c24fcccf3cf6d8cfb3db99",
+    (0, "random"): "38dac73f954db6399843ffabc62f7d12801a3bf3c6e54c96d0c6df8e2cd71aff",
+    (0, "stay"): "7eca9a1db7f724f66e8a24785778abd4f55026b9efd2dcbd880a0626f01dba55",
+    (1, "cs"): "3d278b719ae25a7b0816f76566241f5e7b58b606e43fcf4dfad64247cde8f1ba",
+    (1, "random"): "8cd7dd1e47cb19683dd710ee55e232d74b1c057ad1e0d33a0e51250c86c69dcd",
+    (1, "stay"): "7a52376ec68a6e968e9be353caa0355391c936a7810cc9b9b8ee4ec8440fc7f4",
 }
 PINNED_BATCHES = {
-    "cs": "f91a711bef15ff7ee6d234ac885d0967cda55892a141c4c584a94f25f10b5a81",
-    "random": "9e2adda188603a1f3737226f1cf3c0c79e11e26080c576600eef7e8ce753b4a3",
-    "stay": "f96ab0b39bfe2cd24d3714c3908028c06ce22b5507aca6f402557c03be434f31",
+    "cs": "63d577aedee1c3522f8a361853be50e39f85c80ca6108e16d5741c8c39759991",
+    "random": "42eb804e47e0e1c0766b6deb55c561793d0193a5bd628677868d890a76f0d7fd",
+    "stay": "0060d9f90885411e98de3411ca7378bcb412acfdf6b013a296d97713932eb85b",
 }
 
 

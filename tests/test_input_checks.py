@@ -166,6 +166,28 @@ def test_dimension_zero_is_rejected_by_name(build, message):
     assert str(error.value) == f"{message} must be >= 1, got 0"
 
 
+@pytest.mark.parametrize(
+    "points, message",
+    [
+        (np.zeros((3, 0)), "points must have shape (n, 2), got (3, 0)"),
+        (np.zeros((2, 0, 5)), "points must have shape (n, 2), got (2, 0, 5)"),
+        (np.zeros((0, 3)), "points must have shape (n, 2), got (0, 3)"),
+        ([], None),
+        (np.zeros((0, 2)), None),
+    ],
+    ids=["no-columns", "three-axes", "other-dimension", "flat", "matching"],
+)
+def test_empty_points_take_dim_only_when_flat(points, message):
+    # An empty array of another shape is as wrong as a full one; only a
+    # flat empty input such as [] needs the given dim to have a shape.
+    if message is None:
+        assert PointPattern(points, dim=2).points.shape == (0, 2)
+        return
+    with pytest.raises(ValueError) as error:
+        PointPattern(points, dim=2)
+    assert str(error.value) == message
+
+
 def test_near_symmetric_matrix_is_accepted_and_symmetrized():
     near = np.array([[2.0, 0.5], [0.5 + 5e-10, 3.0]])
     for cov in (

@@ -62,12 +62,8 @@ LAPACK_SITES = {
     ("gaussmix", "_spd", "eigvalsh"),
     # The truth noise factor fixes the truth draws.
     ("scenario", "_psd_factor", "eigh"),
-    # A load-time bound on the step period.
-    ("scenario", "_conditionable", "eigvalsh"),
     # Where each detection term peaks, probed once per profile.
     ("gmphd", "__post_init__", "pinv"),
-    # The Kalman gain of every filter and look-ahead update.
-    ("gmphd", "_kalman", "solve"),
     # The battery's textbook Kalman filter and its direct p_D.
     ("validate", "kalman_filter_sequence", "inv"),
     ("validate", "_check_scenario_statistics", "inv"),

@@ -310,18 +310,34 @@ def test_clutter_mass_beyond_the_poisson_table_is_rejected_at_load():
         ScenarioConfig(clutter_rate=np.nextafter(MAX_POISSON_MEAN / 1e6, 2.0))
 
 
-def test_step_period_beyond_what_the_filter_can_condition_is_rejected_at_load():
-    # eps * 27 t**3 against the detection shape's smallest variance, about
-    # 8.8e5 by default: past t = 5.3e6 every cs and stay run used to fail
-    # in the update, naming no field.
-    message = r"^step_period: the default process noise, 27 \* 1e\+30\*\*3, is at least 1/eps"
-    with pytest.raises(ConfigError, match=message):
-        config_from_dict({"step_period": 1e30, "horizon": 3})
-    with pytest.raises(ConfigError, match="^step_period: "):
-        ScenarioConfig(step_period=1e7)
-    assert len(run_simulation(ScenarioConfig(step_period=1e6, horizon=3), 1, "cs").steps) == 3
-    # The limit moves with the shape.
-    ScenarioConfig(step_period=1e7, detection_shape=[[3e9, -2.4e9], [-2.4e9, 3.6e9]])
+# (field, value, seed, horizon) of configs whose runs failed part-way when
+# the filter conditioned in the plain form (I - K D) P, which loses
+# definiteness when R, or p_D's shape, is tiny next to the predicted
+# covariance.  Each horizon is the shortest at which some policy failed that
+# way on that seed; step periods of 1e7 and 1e30 were refused at load for it.
+CONDITIONING_CASES = [
+    ("step_period", 2e6, 7, 31),
+    ("step_period", 3e6, 16, 17),
+    ("step_period", 5e6, 9, 4),
+    ("meas_noise", 3e-12 * np.eye(2), 0, 1),
+    ("meas_noise", 1e-12 * np.eye(2), 0, 1),
+    ("meas_noise", 1e-14 * np.eye(2), 0, 1),
+    ("step_period", 1e7, 0, 3),
+    ("step_period", 1e30, 0, 2),
+]
+
+
+@pytest.mark.parametrize(
+    "name, value, seed, horizon",
+    CONDITIONING_CASES,
+    ids=["period-2e6", "period-3e6", "period-5e6", "noise-3e-12", "noise-1e-12", "noise-1e-14", "period-1e7", "period-1e30"],
+)
+def test_config_that_loads_runs_to_its_horizon(name, value, seed, horizon):
+    cfg = ScenarioConfig(**{name: value, "horizon": horizon})
+    for policy in ("cs", "random", "stay"):
+        steps = run_simulation(cfg, seed, policy).steps
+        assert len(steps) == horizon
+        assert all(math.isfinite(step.ospa) and math.isfinite(step.reward) for step in steps), policy
 
 
 # Matrix fields whose JSON null means "use the default".
