@@ -68,7 +68,8 @@ import numpy as np
 
 from . import gaussmix
 from .divergence import csd_from_sq_distance
-from .gaussmix import GaussianMixture, gauss_factor, log_gauss_factored, mixture_inner
+from .gaussmix import POSITIVE_PROBABILITY, GaussianMixture, checked_number, gauss_factor
+from .gaussmix import log_gauss_factored, mixture_inner
 from .gmphd import CenteredUpdates, phd_update, phd_update_at_centers
 from .pointprocess import PointPattern
 from .scenario import (
@@ -101,7 +102,8 @@ def ideal_measurements(
     predicted: GaussianMixture, observation: np.ndarray, threshold: float = 0.5
 ) -> PointPattern:
     """Noise-free, clutter-free measurements from the predicted intensity:
-    the observation projection of every component with weight > threshold."""
+    the observation projection of every component with weight > threshold in (0, 1]."""
+    threshold = checked_number(threshold, "threshold", float, *POSITIVE_PROBABILITY)
     observation = np.asarray(observation, dtype=float)
     keep = predicted.weights > threshold
     return PointPattern(predicted.means[keep] @ observation.T, dim=observation.shape[0])
@@ -190,13 +192,9 @@ def _score(
     return rewards, update
 
 
-def _evaluate_candidate(
-    position: np.ndarray,
-    predicted: GaussianMixture,
-    z_star: PointPattern,
-    cfg: ScenarioConfig,
-) -> float:
-    """Reward of one candidate position."""
+def _evaluate_candidate(position: np.ndarray, predicted: GaussianMixture, cfg: ScenarioConfig) -> float:
+    """Reward of one candidate position against Z*, formed as select_action forms it."""
+    z_star = ideal_measurements(predicted, cfg.observation, cfg.extraction_threshold)
     return float(_score(predicted, z_star, position, cfg)[0][0])
 
 

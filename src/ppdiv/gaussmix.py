@@ -89,6 +89,8 @@ def checked_number(value, what: str, kind, test, requirement: str, *, kind_requi
 POSITIVE = (lambda v: 0.0 < v < math.inf, "finite and > 0")
 NONNEGATIVE = (lambda v: 0.0 <= v < math.inf, "finite and >= 0")
 PROBABILITY = (lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+POSITIVE_PROBABILITY = (lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+FINITE_AT_LEAST_1 = (lambda v: 1.0 <= v < math.inf, "finite and >= 1")
 AT_LEAST_0 = (lambda v: v >= 0, ">= 0")
 AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
 
@@ -592,9 +594,7 @@ def prune_merge(
     m = u.means[keep]
     c = u.covs[keep]
     chol = gauss_factor(c)[0]
-    out_w: list[float] = []
-    out_m: list[np.ndarray] = []
-    out_c: list[np.ndarray] = []
+    out: list[tuple[float, np.ndarray, np.ndarray]] = []
     n = w.size
     order = np.argsort(-w, kind="stable")
     remaining = np.ones(n, dtype=bool)
@@ -611,32 +611,24 @@ def prune_merge(
                 continue
             group = cols[near & remaining[cols]]
             remaining[group] = False
-            if group.size == 1:
-                out_w.append(float(w[j]))
-                out_m.append(m[j])
-                out_c.append(c[j])
-                continue
-            wg = w[group]
-            total = float(wg.sum())
-            if total <= 0.0:
-                # All-zero-weight group: moment matching is undefined, keep the pivot.
-                out_w.append(0.0)
-                out_m.append(m[j])
-                out_c.append(c[j])
+            total = float(w[j])
+            if group.size > 1:
+                wg = w[group]
+                total = float(wg.sum())
+            if group.size == 1 or total <= 0.0:
+                # The pivot stands: it is alone, or its group's weights are
+                # all zero and have no moments to match.
+                out.append((total, m[j], c[j]))
                 continue
             mean = (wg[:, None] * m[group]).sum(axis=0) / total
             dev = m[group] - mean
             cov = (
                 wg[:, None, None] * (c[group] + dev[:, :, None] * dev[:, None, :])
             ).sum(axis=0) / total
-            out_w.append(total)
-            out_m.append(mean)
-            out_c.append(cov)
-    if not out_w:
+            out.append((total, mean, cov))
+    if not out:
         return GaussianMixture.empty(u.dim)
-    ww = np.array(out_w)
-    mm = np.stack(out_m)
-    cc = np.stack(out_c)
+    ww, mm, cc = (np.array(column) for column in zip(*out))
     if ww.size > max_components:
         order = np.argsort(-ww, kind="stable")[:max_components]
         order = np.sort(order)

@@ -35,6 +35,7 @@ import numpy as np
 
 from .gaussmix import GaussianMixture, checked_array, gauss_factor, log_gauss_factored, solve_factored
 from .gaussmix import NONNEGATIVE, PROBABILITY, checked_number, factor_matrices, validate_cov
+from .gaussmix import POSITIVE_PROBABILITY
 from .pointprocess import PointPattern
 
 _EPS_MASS = 1e-12
@@ -470,6 +471,6 @@ def phd_update_at_centers(
 
 def extract_states(intensity: GaussianMixture, threshold: float = 0.5) -> PointPattern:
     """Means of components with weight strictly above ``threshold``."""
-    threshold = checked_number(threshold, "threshold", float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+    threshold = checked_number(threshold, "threshold", float, *POSITIVE_PROBABILITY)
     keep = intensity.weights > threshold
     return PointPattern(intensity.means[keep], dim=intensity.dim)

@@ -4,7 +4,8 @@ One run executes, per step: advance truth, PHD-predict, pick a sensor
 position (policy), move, generate measurements, PHD-update, prune/merge,
 extract estimates, score OSPA on positions.  Every random draw comes from a
 purpose-specific stream derived from (seed, run_index), so runs are
-reproducible bit-for-bit and independent of how a batch is scheduled.
+reproducible bit-for-bit and independent of how a batch is scheduled;
+run_streams is the one definition of those streams.
 
 Outputs are deliberately plain: a per-run CSV, a batch CSV, and a JSON
 metadata sidecar carrying the config digest and seeds.  Floats are written
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import __version__
 # _evaluate_candidate keeps its private name: perfbench/tracing.py patches it here.
-from .control import _evaluate_candidate, best_index, ideal_measurements, select_action
+from .control import _evaluate_candidate, best_index, select_action
 from .gaussmix import AT_LEAST_0, AT_LEAST_1, GaussianMixture, checked_number, prune_merge
 from .gaussmix import mixture_inner  # noqa: F401 (unused here; the benchmark's tracer patches it)
 from .gmphd import extract_states, phd_predict, phd_update
@@ -44,12 +45,21 @@ from .scenario import (
 
 POLICIES = ("cs", "random", "stay")
 
-# Purpose codes for per-run random streams; adding a purpose never perturbs
-# draws on existing streams.
-_STREAM_TRUTH = 0
-_STREAM_MEAS = 1
-_STREAM_CLUTTER = 2
-_STREAM_POLICY = 3
+
+@dataclass(frozen=True)
+class RunStreams:
+    truth: RngStream
+    measurements: RngStream
+    clutter: RngStream
+    policy: RngStream
+
+
+def run_streams(seed: int, run_index: int = 0) -> RunStreams:
+    """The streams of run ``run_index`` under ``seed``: children 0-3 of
+    RngStream(seed, stream_id=run_index), one per purpose.  A new purpose
+    takes a new child, so the draws on the others never move."""
+    base = RngStream(seed, stream_id=run_index)
+    return RunStreams(*(base.child(i) for i in range(4)))
 
 
 @dataclass(frozen=True)
@@ -103,9 +113,7 @@ def _choose_position(policy, predicted, sensor, cfg, policy_rng):
     else:
         admissible = [i for i in range(len(candidates)) if in_area(candidates[i], cfg)]
         index = admissible[int(policy_rng.generator.integers(len(admissible)))]
-    z_star = ideal_measurements(predicted, cfg.observation, cfg.extraction_threshold)
-    value = _evaluate_candidate(candidates[index], predicted, z_star, cfg)
-    return candidates[index], index, value
+    return candidates[index], index, _evaluate_candidate(candidates[index], predicted, cfg)
 
 
 def run_simulation(
@@ -117,13 +125,9 @@ def run_simulation(
     """One full scenario run; deterministic in (cfg, seed, policy, run_index)."""
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; choose from {POLICIES}")
-    # The stream judges the seed and the run index.
-    base = RngStream(cfg.seed if seed is None else seed, stream_id=run_index)
-    seed, run_index = base.seed, base.stream_id
-    truth_rng = base.child(_STREAM_TRUTH)
-    meas_rng = base.child(_STREAM_MEAS)
-    clutter_rng = base.child(_STREAM_CLUTTER)
-    policy_rng = base.child(_STREAM_POLICY)
+    # The streams judge the seed and the run index.
+    streams = run_streams(cfg.seed if seed is None else seed, run_index)
+    seed, run_index = streams.truth.seed, streams.truth.stream_id
 
     h = cfg.observation
 
@@ -132,12 +136,12 @@ def run_simulation(
     sensor = cfg.sensor_start
     records = []
     for k in range(1, cfg.horizon + 1):
-        truth = step_truth(truth, cfg, truth_rng, k)
+        truth = step_truth(truth, cfg, streams.truth, k)
         predicted = phd_predict(posterior, cfg.motion, cfg.births)
         sensor, action_index, chosen_reward = _choose_position(
-            policy, predicted, sensor, cfg, policy_rng
+            policy, predicted, sensor, cfg, streams.policy
         )
-        measurements = generate_measurements(truth, sensor, cfg, meas_rng, clutter_rng)
+        measurements = generate_measurements(truth, sensor, cfg, streams.measurements, streams.clutter)
         posterior = phd_update(
             predicted, measurements, detection_profile(cfg, sensor), cfg.sensor_model
         )

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .gaussmix import POSITIVE, checked_array, checked_number
+from .gaussmix import FINITE_AT_LEAST_1, POSITIVE, checked_array, checked_number
 
 
 @dataclass(frozen=True)
@@ -25,8 +25,7 @@ class OspaParams:
     cutoff: float = 100.0
 
     def __post_init__(self):
-        at_least_1 = (lambda v: 1.0 <= v < math.inf, "finite and >= 1")
-        object.__setattr__(self, "order", checked_number(self.order, "order", float, *at_least_1))
+        object.__setattr__(self, "order", checked_number(self.order, "order", float, *FINITE_AT_LEAST_1))
         object.__setattr__(self, "cutoff", checked_number(self.cutoff, "cutoff", float, *POSITIVE))
         # ospa charges each unmatched point cutoff ** order: a normal float.
         try:

@@ -223,6 +223,9 @@ def poisson_log_density(pattern: PointPattern, model) -> float:
     For a single Poisson model this is -mass + sum_x log(k u(x)); mixtures of
     processes add a log-sum over components.
     """
+    _model_components(model)  # judges the model's type before its dimension is read
+    if not isinstance(pattern, PointPattern):
+        raise ValueError(f"pattern must be a PointPattern, got {type(pattern).__name__}")
     if pattern.dim != model.dim:
         raise ValueError(f"dimension mismatch: pattern {pattern.dim}, model {model.dim}")
     n = len(pattern)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 import numpy as np
 
 from .gaussmix import GaussianMixture, checked_array, log_gauss_factored
-from .gaussmix import mixture_from_dict, mixture_to_dict
+from .gaussmix import FINITE_AT_LEAST_1, POSITIVE_PROBABILITY, mixture_from_dict, mixture_to_dict
 from .gaussmix import AT_LEAST_0, AT_LEAST_1, NONNEGATIVE, POSITIVE, PROBABILITY, checked_number
 from .gmphd import (
     BirthSpawnModel,
@@ -71,8 +71,8 @@ _SCALARS = (
     ("truncation_threshold", float, *NONNEGATIVE),
     ("merge_threshold", float, *NONNEGATIVE),
     ("max_components", int, *AT_LEAST_1),
-    ("extraction_threshold", float, lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
-    ("ospa_order", float, lambda v: 1.0 <= v < math.inf, "finite and >= 1"),
+    ("extraction_threshold", float, *POSITIVE_PROBABILITY),
+    ("ospa_order", float, *FINITE_AT_LEAST_1),
     ("ospa_cutoff", float, *POSITIVE),
     ("seed", int, *AT_LEAST_0),
 )

@@ -61,7 +61,7 @@ from .gmphd import (
     phd_predict,
     phd_update,
 )
-from .harness import mc_csv_text, run_csv_text, run_montecarlo, run_simulation
+from .harness import mc_csv_text, run_csv_text, run_montecarlo, run_simulation, run_streams
 from .metrics import OspaParams, optimal_assignment, ospa
 from .pointprocess import (
     PointPattern,
@@ -581,8 +581,8 @@ def _check_reward_orientation(report: _Report):
 
 
 def _final_truth_positions(cfg: ScenarioConfig, seed: int, run_index: int) -> np.ndarray:
-    # replays the harness truth stream: base (seed, run_index), purpose child 0
-    rng = RngStream(seed, stream_id=run_index).child(0)
+    # replays the run's truth stream
+    rng = run_streams(seed, run_index).truth
     truth = TruthState.empty(cfg.state_dim)
     for k in range(1, cfg.horizon + 1):
         truth = step_truth(truth, cfg, rng, k)

@@ -15,20 +15,11 @@ import math
 import numpy as np
 import pytest
 
-from ppdiv import GaussianMixture, ScenarioConfig
+from ppdiv import ScenarioConfig, harness
 from ppdiv.cli import main as cli_main
-from ppdiv.gaussmix import mixture_mass, prune_merge
+from ppdiv.gaussmix import mixture_mass
 from ppdiv.gmphd import phd_predict, phd_update
-from ppdiv.harness import config_to_dict
-from ppdiv.pointprocess import RngStream
-from ppdiv.scenario import (
-    TruthState,
-    action_positions,
-    detection_profile,
-    generate_measurements,
-    in_area,
-    step_truth,
-)
+from ppdiv.harness import config_to_dict, run_simulation
 from ppdiv.validate import policy_comparison, validate_oracles
 
 
@@ -161,54 +152,40 @@ def _reference_masses(predicted, zs, sensor, cfg):
     return t_missed, total / (kappa + total)
 
 
-def test_criterion_08_filter_mass_identities():
+def test_criterion_08_filter_mass_identities(monkeypatch):
     """Prediction mass balance and the update mass identity (posterior mass
     equals missed mass plus per-measurement detection masses, each in [0, 1])
-    hold to 1e-9 at every step of 20 seeded scenario runs."""
+    hold to 1e-9 at every step of 20 seeded random-policy scenario runs,
+    observed at the harness's own predict and update calls."""
     cfg = ScenarioConfig()
     birth_mass = mixture_mass(cfg.birth)
-    worst_predict = worst_update = 0.0
-    n_steps = 0
+    predict_errs, update_errs = [], []
+
+    def observed_predict(prior, motion, births):
+        predicted = phd_predict(prior, motion, births)
+        balance = cfg.survival_prob * mixture_mass(prior) + birth_mass
+        predict_errs.append(abs(mixture_mass(predicted) - balance))
+        return predicted
+
+    def observed_update(predicted, zs, profile, meas):
+        posterior = phd_update(predicted, zs, profile, meas)
+        # The run's sensor position is its detection term's centre.
+        t_missed, blocks = _reference_masses(predicted, zs, profile.terms[0].center, cfg)
+        assert np.all(blocks >= 0.0) and np.all(blocks <= 1.0 + 1e-9)
+        update_errs.append(abs(mixture_mass(posterior) - (t_missed + blocks.sum())))
+        return posterior
+
+    monkeypatch.setattr(harness, "phd_predict", observed_predict)
+    monkeypatch.setattr(harness, "phd_update", observed_update)
     for run in range(20):
-        base = RngStream(cfg.seed, stream_id=run)
-        truth_rng, meas_rng = base.child(0), base.child(1)
-        clutter_rng, policy_rng = base.child(2), base.child(3)
-        truth = TruthState.empty(cfg.state_dim)
-        prior = GaussianMixture.empty(cfg.state_dim)
-        sensor = cfg.sensor_start
-        for k in range(1, cfg.horizon + 1):
-            truth = step_truth(truth, cfg, truth_rng, k)
-            predicted = phd_predict(prior, cfg.motion, cfg.births)
-            balance = cfg.survival_prob * mixture_mass(prior) + birth_mass
-            worst_predict = max(worst_predict, abs(mixture_mass(predicted) - balance))
-            candidates = action_positions(sensor, cfg)
-            admissible = [
-                i for i in range(len(candidates)) if in_area(candidates[i], cfg)
-            ]
-            sensor = candidates[
-                admissible[int(policy_rng.generator.integers(len(admissible)))]
-            ]
-            zs = generate_measurements(truth, sensor, cfg, meas_rng, clutter_rng)
-            posterior = phd_update(
-                predicted, zs, detection_profile(cfg, sensor), cfg.sensor_model
-            )
-            t_missed, blocks = _reference_masses(predicted, zs, sensor, cfg)
-            assert np.all(blocks >= 0.0) and np.all(blocks <= 1.0 + 1e-9)
-            err = abs(mixture_mass(posterior) - (t_missed + blocks.sum()))
-            worst_update = max(worst_update, err)
-            prior = prune_merge(
-                posterior,
-                cfg.truncation_threshold,
-                cfg.merge_threshold,
-                cfg.max_components,
-            )
-            n_steps += 1
-    assert worst_predict < 1e-9
-    assert worst_update < 1e-9
+        run_simulation(cfg, cfg.seed, "random", run)
+    assert len(predict_errs) == len(update_errs) == 20 * cfg.horizon
+    assert max(predict_errs) < 1e-9
+    assert max(update_errs) < 1e-9
     _report(
         8,
-        f"{n_steps} steps, worst prediction err {worst_predict:.2e}, "
-        f"worst update err {worst_update:.2e}",
+        f"{len(update_errs)} steps, worst prediction err {max(predict_errs):.2e}, "
+        f"worst update err {max(update_errs):.2e}",
     )
 
 

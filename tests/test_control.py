@@ -10,6 +10,7 @@ from ppdiv import (
     PointPattern,
     ScenarioConfig,
     detection_profile,
+    extract_states,
     ideal_measurements,
     phd_update,
     reward,
@@ -50,6 +51,18 @@ def test_ideal_measurements_threshold():
         h,
     )
     assert np.allclose(z.points, [[10.0, 20.0], [30.0, 40.0]])
+
+
+@pytest.mark.parametrize("bad", ["a", None, math.nan, 0.0, 2.0])
+def test_ideal_measurements_judges_its_threshold_as_extract_states_does(bad):
+    # Outside (0, 1] a threshold would keep no component (nan, 2.0) or every
+    # one (0.0) without a word, so it fails by name, as in extract_states.
+    u = mixture(track([1.0, 2.0, 0.0, 0.0]))
+    with pytest.raises(ValueError) as ours:
+        ideal_measurements(u, np.eye(2, 4), bad)
+    with pytest.raises(ValueError) as theirs:
+        extract_states(u, bad)
+    assert str(ours.value) == str(theirs.value)
 
 
 def test_planning_model_uses_scan_clutter_mass():

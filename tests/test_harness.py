@@ -14,6 +14,7 @@ import ppdiv
 from ppdiv import (
     ScenarioConfig,
     config_from_dict,
+    harness,
     run_montecarlo,
     run_simulation,
     write_mc_csv,
@@ -26,6 +27,7 @@ from ppdiv.harness import (
     mc_csv_text,
     run_csv_text,
 )
+from ppdiv.validate import _final_truth_positions
 
 HEADER_RUN = "step,sensor_x,sensor_y,action,reward,n_true,n_est,n_meas,ospa"
 HEADER_MC = "step,ospa_mean,ospa_std,n_runs"
@@ -95,6 +97,24 @@ def test_run_index_changes_draws():
     a = run_simulation(cfg, seed=9, policy="stay", run_index=0)
     b = run_simulation(cfg, seed=9, policy="stay", run_index=1)
     assert [s.ospa for s in a.steps] != [s.ospa for s in b.steps]
+
+
+def test_validate_truth_is_the_runs_truth(monkeypatch):
+    # The battery's sensor_moves_toward_targets entry replays each run's
+    # truth; it must be the truth the run itself stepped, to the last bit.
+    cfg = ScenarioConfig()
+    step_truth = harness.step_truth
+    stepped = []
+
+    def observed_step(*args):
+        stepped.append(step_truth(*args))
+        return stepped[-1]
+
+    monkeypatch.setattr(harness, "step_truth", observed_step)
+    for i in range(3):
+        run_simulation(cfg, cfg.seed, "stay", i)
+        final = stepped[-1].states @ cfg.observation.T
+        assert np.array_equal(_final_truth_positions(cfg, cfg.seed, i), final)
 
 
 def test_unknown_policy_rejected():

@@ -34,12 +34,14 @@ from ppdiv import (
     csd_poisson_quadrature,
     extract_states,
     hellinger_sq_quadrature,
+    ideal_measurements,
     intensity_grid,
     mc_csd,
     mc_inner_product,
     mixture_from_dict,
     mixture_scale,
     ospa,
+    poisson_log_density,
     prune_merge,
     run_montecarlo,
     run_simulation,
@@ -309,6 +311,7 @@ SCALARS = [
     ("DetectionTerm", "detection term weight", False, lambda v: DetectionTerm(v, [0.0, 0.0], I2, I2)),
     ("DetectionProfile", "constant detection term", False, lambda v: DetectionProfile(v)),
     ("extract_states", "threshold", False, lambda v: extract_states(_MIX, v)),
+    ("ideal_measurements", "threshold", False, lambda v: ideal_measurements(_MIX, I2, v)),
     ("OspaParams", "order", False, lambda v: OspaParams(order=v)),
     ("OspaParams", "cutoff", False, lambda v: OspaParams(cutoff=v)),
     (
@@ -375,8 +378,15 @@ _MIXTURE_MODEL = MixturePoissonModel(((1.0, _MODEL),))
             lambda: mc_inner_product(RngStream(0), _MIX, _MODEL, 2),
             "expected PoissonModel or MixturePoissonModel, got GaussianMixture",
         ),
+        (
+            lambda: poisson_log_density(PointPattern(np.zeros((2, 2))), "x"),
+            "expected PoissonModel or MixturePoissonModel, got str",
+        ),
     ],
-    ids=["csd_poisson_gm", "csd_poisson_gm-None", "bhatt_poisson_gaussian", "csd_poisson_mixture", "mc_inner_product"],
+    ids=[
+        "csd_poisson_gm", "csd_poisson_gm-None", "bhatt_poisson_gaussian", "csd_poisson_mixture",
+        "mc_inner_product", "poisson_log_density",
+    ],
 )
 def test_divergence_names_a_process_of_the_wrong_type(build, message):
     # Each route takes its own kind of process; another kind, or None, in
@@ -384,3 +394,9 @@ def test_divergence_names_a_process_of_the_wrong_type(build, message):
     with pytest.raises(ValueError) as error:
         build()
     assert str(error.value) == message
+
+
+def test_poisson_log_density_names_a_pattern_of_the_wrong_type():
+    with pytest.raises(ValueError) as error:
+        poisson_log_density(np.zeros((2, 2)), _MODEL)
+    assert str(error.value) == "pattern must be a PointPattern, got ndarray"
